@@ -18,13 +18,14 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import core
 from .core import (
     GroundState,
     InvariantViolation,
     LocalOperator,
+    OutcomeRecord,
     PovmMeasurement,
     StateVector,
     apply_local,
@@ -149,70 +150,59 @@ class ChainModel:
         return tuple(self.term(n) for n in range(self.n_sites))
 
     @cached_property
-    def _h_pieces(self) -> tuple[LocalOperator, ...]:
-        """Site and bond operators whose sum is the Hamiltonian."""
-        pieces = []
-        for n in range(self.n_sites):
-            pieces.append(LocalOperator(
-                (n,), self.x_ops[n] - self.shifts[n] * np.eye(2)))
+    def sparse_hamiltonian(self) -> sp.csr_matrix:
+        """The Hamiltonian as one CSR matrix, real when the model is real.
+
+        Every site operator and every bond is embedded with one ``sp.kron``
+        per run of identity sites; all entries are summed by a single
+        COO-to-CSR conversion.
+        """
+        pieces = [{n: self.x_ops[n] - self.shifts[n] * np.eye(2)}
+                  for n in range(self.n_sites)]
         for ch in self.channels:
             for bond in range(self.n_bonds):
                 a, b = self.bond_sites(bond)
-                mat = ch.couplings[bond] * np.kron(ch.y_ops[a], ch.y_ops[b])
-                pieces.append(LocalOperator((a, b), mat))
-        return tuple(pieces)
+                pieces.append({a: ch.couplings[bond] * ch.y_ops[a],
+                               b: ch.y_ops[b]})
+        rows, cols, data = [], [], []
+        for factors in pieces:
+            acc, done = sp.identity(1, dtype=complex, format="coo"), 0
+            for site in sorted(factors):
+                acc = sp.kron(acc, sp.identity(2**(site - done)), format="coo")
+                acc = sp.kron(acc, sp.coo_matrix(factors[site]), format="coo")
+                done = site + 1
+            acc = sp.kron(acc, sp.identity(2**(self.n_sites - done)), format="coo")
+            rows.append(acc.row)
+            cols.append(acc.col)
+            data.append(acc.data)
+        dim = 2**self.n_sites
+        ham = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim)).tocsr()
+        ham.eliminate_zeros()
+        if not np.any(ham.data.imag):
+            ham = ham.real
+        return ham
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
-        """Dense Hamiltonian, real when possible (up to 12 sites)."""
+        """Dense view of :attr:`sparse_hamiltonian` (up to 12 sites)."""
         if self.n_sites > DENSE_SITE_LIMIT:
             raise ValueError(
                 f"dense Hamiltonian limited to {DENSE_SITE_LIMIT} sites; "
-                "use apply_hamiltonian / linear_operator"
+                "use sparse_hamiltonian / apply_hamiltonian"
             )
-        dim = 2**self.n_sites
-        total = sp.csr_matrix((dim, dim), dtype=complex)
-
-        def embedded(factors: dict[int, np.ndarray]) -> sp.csr_matrix:
-            acc = sp.identity(1, dtype=complex, format="csr")
-            for site in range(self.n_sites):
-                blk = factors.get(site)
-                if blk is None:
-                    acc = sp.kron(acc, sp.identity(2, dtype=complex,
-                                                   format="csr"), format="csr")
-                else:
-                    acc = sp.kron(acc, sp.csr_matrix(blk), format="csr")
-            return acc
-
-        for n in range(self.n_sites):
-            total = total + embedded(
-                {n: self.x_ops[n] - self.shifts[n] * np.eye(2)})
-        for ch in self.channels:
-            for bond in range(self.n_bonds):
-                a, b = self.bond_sites(bond)
-                total = total + embedded(
-                    {a: ch.couplings[bond] * ch.y_ops[a], b: ch.y_ops[b]})
-        dense = np.asarray(total.todense())
-        if np.abs(dense.imag).max() == 0.0:
-            dense = dense.real.copy()
-        return dense
+        return self.sparse_hamiltonian.toarray()
 
     def apply_hamiltonian(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(2**self.n_sites, dtype=complex)
-        for piece in self._h_pieces:
-            out += apply_local(piece, vec, self.n_sites)
-        return out
+        return self.sparse_hamiltonian @ vec
 
     def linear_operator(self) -> LinearOperator:
-        dim = 2**self.n_sites
-        return LinearOperator((dim, dim), matvec=self.apply_hamiltonian,
-                              dtype=complex)
+        return aslinearoperator(self.sparse_hamiltonian)
 
     @cached_property
     def ground(self) -> GroundState:
-        if self.n_sites <= DENSE_SITE_LIMIT:
-            return core.ground_state(self.hamiltonian)
-        return core.ground_state(self.linear_operator())
+        return core.ground_state(self.sparse_hamiltonian)
 
     def term_expectation(self, n: int, amplitudes: np.ndarray) -> float:
         op = self.terms[n].operator
@@ -238,10 +228,9 @@ def normalize(model: ChainModel) -> ChainModel:
     )
     # H only changes by a multiple of the identity: reuse the spectral data.
     drop = math.fsum(eps)
-    if "hamiltonian" in model.__dict__:
-        ham = model.hamiltonian - drop * np.eye(2**model.n_sites,
-                                                dtype=model.hamiltonian.dtype)
-        shifted.__dict__["hamiltonian"] = ham
+    shifted.__dict__["sparse_hamiltonian"] = (
+        model.sparse_hamiltonian
+        - drop * sp.identity(2**model.n_sites, format="csr"))
     shifted.__dict__["ground"] = GroundState(
         gs.energy - drop, gs.state, gs.gap, gs.degenerate
     )
@@ -333,19 +322,11 @@ class ChainProtocolSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ChainOutcomeRecord:
-    alpha: float
-    probability: float
-    post_measurement: StateVector
-    post_operation: StateVector
-
-
-@dataclass(frozen=True, eq=False)
 class ChainProtocolResult:
     e_a: float
     e_b: float
     theta: float
-    outcomes: tuple[ChainOutcomeRecord, ...]
+    outcomes: tuple[OutcomeRecord, ...]
     site_energies: tuple[float, ...]
     local_energy_b: float
 
@@ -405,7 +386,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
         rotated = apply_local(u, branch, n)
         rotated_branches.append((label, p, rotated))
         if p > core.PROB_FLOOR:
-            records.append(ChainOutcomeRecord(
+            records.append(OutcomeRecord(
                 label, p,
                 StateVector(n, branch / math.sqrt(p)),
                 StateVector(n, rotated / math.sqrt(p)),
@@ -612,15 +593,6 @@ def best_teleportable_energy(model: ChainModel, measurement: PovmMeasurement,
     return best, best_site
 
 
-def _euler_unitary(angles) -> np.ndarray:
-    a, b, c = angles
-    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)],
-                   [math.sin(b / 2), math.cos(b / 2)]], dtype=complex)
-    rz2 = np.diag([np.exp(-0.5j * c), np.exp(0.5j * c)])
-    return rz1 @ ry @ rz2
-
-
 def _kraus_pair(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two 2x2 Kraus operators from 16 reals, complete by construction."""
     raw = params.reshape(8, 2)
@@ -672,7 +644,7 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
 
         if search_space == "unitary":
             def objective(params, psi=psi):
-                u = LocalOperator((site_a,), _euler_unitary(params))
+                u = LocalOperator((site_a,), core.euler_unitary(params))
                 w = apply_local(u, psi, n)
                 return float(np.vdot(w, model.apply_hamiltonian(w)).real)
             n_params = 3

@@ -19,6 +19,9 @@ from . import __version__, chain, core, field, ising, minimal, verify
 from .core import EigensolverError, InvariantViolation
 
 
+ISING_NUMERIC_SITE_LIMIT = 16
+
+
 class UsageError(Exception):
     pass
 
@@ -317,8 +320,9 @@ def cmd_ising(args) -> int:
             lines.append(f"# fit_prefactor = {fit.prefactor!r}")
             lines.append(f"# fit_c_implied = {fit.c_implied!r}")
     else:
-        if args.N > 12:
-            raise UsageError("numeric mode is limited to 12 sites (dense)")
+        if args.N > ISING_NUMERIC_SITE_LIMIT:
+            raise UsageError(
+                f"numeric mode is limited to {ISING_NUMERIC_SITE_LIMIT} sites")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = ising.numeric_cross_check(args.J, args.N)

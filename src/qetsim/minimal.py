@@ -21,6 +21,7 @@ from .core import (
     ATOL_CONSTRUCT,
     InvariantViolation,
     LocalOperator,
+    OutcomeRecord,
     PovmMeasurement,
     StateVector,
 )
@@ -58,14 +59,6 @@ class MinimalModel:
     v: np.ndarray
     hamiltonian: np.ndarray
     ground: StateVector
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeRecord:
-    alpha: float
-    probability: float
-    post_measurement: StateVector
-    post_operation: StateVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,15 +234,6 @@ def evolved_local_energies(params: MinimalParams, t: float) -> tuple[float, floa
     return hb, vv
 
 
-def _euler_unitary(angles) -> np.ndarray:
-    a, b, c = angles
-    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)],
-                   [math.sin(b / 2), math.cos(b / 2)]], dtype=complex)
-    rz2 = np.diag([np.exp(-0.5j * c), np.exp(0.5j * c)])
-    return rz1 @ ry @ rz2
-
-
 def _min_rotation_family(branch: np.ndarray, op: np.ndarray) -> float:
     """Exact minimum of <psi|exp(i th sy) O exp(-i th sy)|psi> over th."""
     def val(theta):
@@ -271,7 +255,8 @@ def _min_general_unitary(branch: np.ndarray, op: np.ndarray,
         start = rng.uniform(0.0, 2 * math.pi, size=3)
         res = minimize(
             lambda p: float(np.vdot(
-                w := np.kron(np.eye(2), _euler_unitary(p)) @ branch, op @ w).real),
+                w := np.kron(np.eye(2), core.euler_unitary(p)) @ branch,
+                op @ w).real),
             start, method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000},
         )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qetsim import chain, core
+from qetsim import chain, core, ising
 from qetsim.chain import Channel, ChainModel, ChainProtocolSpec
 from qetsim.core import InvariantViolation, LocalOperator
 
@@ -492,6 +492,114 @@ def test_krylov_ground_beyond_dense_limit():
                 {a: ch.couplings[bond] * ch.y_ops[a], b: ch.y_ops[b]})
     ref = eigsh(total, k=1, which="SA", return_eigenvectors=False)[0]
     assert abs(ref - model.ground.energy) < 1e-9
+
+
+def free_spin_chain(n, seed):
+    """Random open chain on ``n - 1`` sites plus one uncoupled zero-field site.
+
+    Every level is exactly doubly degenerate; the levels are otherwise
+    generic (complex, ``2**(n - 1)`` distinct values).
+    """
+    base = chain.random_chain_model(n - 1, np.random.default_rng(seed),
+                                    boundary="open")
+    return ChainModel(
+        n, "open", base.x_ops + (np.zeros((2, 2)),),
+        tuple(Channel(ch.y_ops + (ch.y_ops[0],), ch.couplings + (0.0,))
+              for ch in base.channels),
+        tuple(0.0 for _ in range(n)))
+
+
+def xyz_chain(n, seed):
+    """Real open XYZ chain with random couplings and no field.
+
+    For odd ``n`` the global spin flips about x and z anticommute, so every
+    level is exactly doubly degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    return ChainModel(
+        n, "open", tuple(np.zeros((2, 2)) for _ in range(n)),
+        tuple(Channel(tuple(p for _ in range(n)),
+                      tuple(rng.uniform(-1.0, 1.0, size=n - 1)))
+              for p in (core.PAULI_X, core.PAULI_Y, core.PAULI_Z)),
+        tuple(0.0 for _ in range(n)))
+
+
+@pytest.fixture
+def krylov_calls(monkeypatch):
+    calls = []
+    solve = core._krylov_lowest_pair
+
+    def counted(*args):
+        calls.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(core, "_krylov_lowest_pair", counted)
+    return calls
+
+
+def _check_against_dense(model, krylov_calls):
+    ham = model.sparse_hamiltonian
+    assert ham.shape[0] > core.DENSE_DIM_LIMIT
+    krylov_calls.clear()
+    gs = core.ground_state(ham)
+    assert krylov_calls == [ham.shape[0]]
+    vals, vecs = np.linalg.eigh(model.hamiltonian)
+    assert gs.energy == pytest.approx(vals[0], abs=1e-9)
+    assert gs.degenerate == (vals[1] - vals[0] < core.GAP_DEGENERATE)
+    return gs, vals, vecs
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_krylov_matches_dense_eigh_complex(random_chains10, index, krylov_calls):
+    model = random_chains10[index]
+    assert np.iscomplexobj(model.sparse_hamiltonian.data)
+    gs, vals, vecs = _check_against_dense(model, krylov_calls)
+    assert not gs.degenerate
+    assert gs.gap == pytest.approx(vals[1] - vals[0], abs=1e-8)
+    overlap = abs(np.vdot(vecs[:, 0], gs.state.amplitudes))
+    assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_krylov_matches_dense_eigh_real(n, krylov_calls):
+    model = ising.build(ising.IsingParams(1.0, n))
+    assert not np.iscomplexobj(model.sparse_hamiltonian.data)
+    gs, vals, vecs = _check_against_dense(model, krylov_calls)
+    assert not gs.degenerate
+    assert gs.gap == pytest.approx(vals[1] - vals[0], abs=1e-8)
+    overlap = abs(np.vdot(vecs[:, 0], gs.state.amplitudes))
+    assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("build,n,seed", [
+    (free_spin_chain, 10, 0), (free_spin_chain, 10, 1),
+    (free_spin_chain, 10, 2),
+    (xyz_chain, 9, 0), (xyz_chain, 11, 1), (xyz_chain, 11, 2),
+])
+def test_krylov_sees_repeated_ground_level(build, n, seed, krylov_calls):
+    # one Lanczos start vector spans only one direction of a repeated level
+    gs, vals, _ = _check_against_dense(build(n, seed), krylov_calls)
+    assert gs.degenerate
+    assert 0.0 <= gs.gap < core.GAP_DEGENERATE
+
+
+def test_krylov_ground_is_deterministic():
+    # the Krylov start vector is seeded: identical solves agree bit for bit
+    first, second = (
+        chain.random_chain_model(13, np.random.default_rng(5), boundary="open")
+        for _ in range(2))
+    assert first.shifts == second.shifts
+    ham = first.sparse_hamiltonian
+    assert core.ground_state(ham).energy == core.ground_state(ham).energy
+
+
+@pytest.mark.parametrize("n", [10, 13])
+def test_decoupled_chain_exact_null_vector(n):
+    # every eigenvalue is an even integer and the unique ground energy is 0
+    gs = decoupled_chain(n).ground
+    assert gs.energy == pytest.approx(0.0, abs=1e-9)
+    assert gs.gap == pytest.approx(2.0, abs=1e-9)
+    assert not gs.degenerate
 
 
 def test_protocol_multi_outcome_povm(ising8):

@@ -121,6 +121,39 @@ def test_chain_parse_error_exit_one(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_ising_numeric_size_cap(capsys):
+    code, out, err = run_cli(capsys, "ising", "--mode", "numeric", "--N", "17")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "16 sites" in err
+
+
+def test_chain_zero_hamiltonian_exit_two(capsys, tmp_path):
+    # the all-zero Hamiltonian is reported as degenerate, not as a solver crash
+    zero = tmp_path / "zero.chain"
+    zero.write_text("n_sites = 13\nboundary = open\nx = 0*z\nbond = x ; 0\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(zero),
+                             "--site-a", "0", "--site-b", "6")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "degenerate" in err
+
+
+@pytest.mark.parametrize("n_sites", [8, 10])
+def test_chain_non_finite_coupling_exit_one(capsys, tmp_path, n_sites):
+    bad = tmp_path / "nan.chain"
+    bad.write_text(f"n_sites = {n_sites}\nboundary = periodic\nx = -1*z\n"
+                   "bond = x ; nan\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(bad),
+                             "--site-a", "0", "--site-b", "4")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "non-finite" in err
+
+
 def test_field_report(capsys, profile_files):
     lam, p_b = profile_files
     code, out, _ = run_cli(capsys, "field", "--lambda-file", lam,

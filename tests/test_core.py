@@ -98,6 +98,23 @@ def test_ground_state_degenerate_flag():
     assert gs.degenerate
 
 
+@pytest.mark.parametrize("scale", [0.0, 3.0])
+def test_ground_state_multiple_of_identity_is_degenerate(scale):
+    import scipy.sparse as sp
+
+    gs = core.ground_state(scale * sp.identity(1024, format="csr"))
+    assert gs.energy == pytest.approx(scale, abs=1e-9)
+    assert gs.degenerate
+
+
+def test_ground_state_rejects_large_linear_operator():
+    from scipy.sparse.linalg import LinearOperator
+
+    lin = LinearOperator((512, 512), matvec=lambda v: v, dtype=float)
+    with pytest.raises(TypeError):
+        core.ground_state(lin)
+
+
 def test_ground_state_rejects_non_hermitian():
     with pytest.raises(ValueError):
         core.ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
