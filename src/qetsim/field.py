@@ -3,9 +3,10 @@
 All reported quantities reduce to functionals of two compactly supported
 real profiles: the measurement smearing on the left and the displacement
 window on the right.  The vacuum-coherent overlap entering the correlation
-coefficient is evaluated from the Fourier transform of the smearing profile
-and is gated, in the verification suites, against an independent
-finite-mode Gaussian oracle.  Natural units throughout.
+coefficient is a trapezoid integral over the spectrum of the zero-padded
+smearing profile, evaluated exactly as a sum over the lags of the sample
+autocorrelation, and is gated, in the verification suites, against an
+independent finite-mode Gaussian oracle.  Natural units throughout.
 """
 
 from __future__ import annotations
@@ -32,12 +33,23 @@ class Profile:
     support: tuple[float, float]
 
     def __post_init__(self):
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx)):
+            raise ValueError(
+                f"grid origin and spacing must be finite, got x0={self.x0}, "
+                f"dx={self.dx}"
+            )
         if not self.dx > 0:
             raise ValueError(f"grid spacing must be positive, got {self.dx}")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("profile needs a 1D array of at least two samples")
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise ValueError(
+                f"profile sample {bad} is not finite ({vals[bad]})")
         lo, hi = self.support
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"support interval {self.support} is not finite")
         if not lo < hi:
             raise ValueError(f"empty support interval {self.support}")
         x = self.x0 + self.dx * np.arange(vals.size)
@@ -72,6 +84,8 @@ class Profile:
         values = np.asarray(values, dtype=float)
         if x.size != values.size or x.size < 2:
             raise ValueError("x and value columns must match and hold >= 2 rows")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("grid points must be finite")
         dx = float(x[1] - x[0])
         if dx <= 0:
             raise ValueError("grid must be increasing")
@@ -157,28 +171,41 @@ def input_energy(lambda_a: Profile) -> float:
     return derivative_squared_integral(lambda_a)
 
 
-def _fourier_weight_integral_fft(profile: Profile, pad_factor: int) -> float:
-    """integral_0^inf omega |profile~(omega)|^2 domega via zero-padded FFT."""
-    n = 1
-    target = profile.values.size * pad_factor
-    while n < target:
-        n *= 2
-    spectrum = np.fft.rfft(profile.values, n)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=profile.dx)
-    integrand = omega * (profile.dx * np.abs(spectrum)) ** 2
-    return float(np.trapezoid(integrand, dx=omega[1] - omega[0]))
+def _fourier_weight_integral(profile: Profile, pad_factor: int) -> float:
+    """integral_0^inf omega |profile~(omega)|^2 domega on a padded FFT grid.
+
+    The value is the trapezoid rule over the rfft spectrum of the samples
+    zero-padded to ``n_fft``, the first power of two >= ``n * pad_factor``.
+    Writing |spectrum|^2 through the autocorrelation r_m of the samples, the
+    frequency sum closes for every lag: r_0 carries pi^2/2, an even lag
+    carries nothing and an odd lag m carries -(2 pi / n_fft)^2 /
+    sin^2(pi m / n_fft).  The lag sum costs O(n^2) instead of an
+    O(n_fft log n_fft) transform; it is independent of the grid spacing.
+    """
+    if pad_factor < 1:
+        raise ValueError(f"pad factor must be at least 1, got {pad_factor}")
+    v = profile.values
+    n_fft = 1
+    while n_fft < v.size * pad_factor:
+        n_fft *= 2
+    autocorr = np.correlate(v, v, "full")[v.size - 1:]
+    odd = np.arange(1, v.size, 2)
+    odd_kernel = (2.0 * math.pi / n_fft / np.sin(math.pi * odd / n_fft)) ** 2
+    return float(autocorr[0] * math.pi**2 / 2.0 - autocorr[1::2] @ odd_kernel)
 
 
 def vacuum_overlap(lambda_a: Profile, pad_factor: int = 4096) -> float:
     """Overlap magnitude between the vacuum and the doubled coherent state.
 
-    Computed as ``exp(-(2/pi) * integral_0^inf omega |lambda~(omega)|^2)``
-    with the Fourier transform evaluated by zero-padded FFT.  The exponent
-    coefficient follows from the displacement the smearing generates on each
-    plane-wave mode; the verification suites gate it against
-    :func:`finite_mode_oracle`.
+    Computed as ``exp(-(2/pi) * integral_0^inf omega |lambda~(omega)|^2)``.
+    The integral is the trapezoid rule over the spectrum of the profile
+    zero-padded to the first power of two >= ``n * pad_factor`` samples,
+    evaluated exactly as a lag sum over the sample autocorrelation, so no
+    transform of that length is taken.  The exponent coefficient follows
+    from the displacement the smearing generates on each plane-wave mode;
+    the verification suites gate it against :func:`finite_mode_oracle`.
     """
-    weight = _fourier_weight_integral_fft(lambda_a, pad_factor)
+    weight = _fourier_weight_integral(lambda_a, pad_factor)
     return math.exp(-2.0 / math.pi * weight)
 
 
@@ -256,8 +283,11 @@ class FieldProtocolSpec:
                 "the displacement support must lie strictly to the right of "
                 f"the smearing support (gap {gap})"
             )
-        if self.delay < 0:
-            raise ValueError(f"delay must be nonnegative, got {self.delay}")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError(
+                f"delay must be finite and nonnegative, got {self.delay}")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(f"angle must be finite, got {self.theta}")
         min_arg = gap + self.delay
         grid = max(self.lambda_a.dx, self.p_b.dx)
         if min_arg < 4.0 * grid:

@@ -174,6 +174,55 @@ def test_field_oracle_flag(capsys, profile_files):
     assert payload["oracle"]["relative_gap"] < 1e-6
 
 
+def _assert_one_line_failure(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("pad", ["0", "-3"])
+def test_field_pad_factor_below_one_exit_one(capsys, profile_files, pad):
+    lam, p_b = profile_files
+    code, out, err = run_cli(capsys, "field", "--lambda-file", lam,
+                             "--p-file", p_b, "--T", "3", "--pad-factor", pad)
+    _assert_one_line_failure(code, out, err)
+    assert "pad factor" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--T", "nan"), ("--T", "inf"), ("--T", "3", "--theta", "nan"),
+    ("--T", "3", "--theta=-inf"),
+])
+def test_field_non_finite_delay_or_angle_exit_one(capsys, profile_files,
+                                                  extra):
+    lam, p_b = profile_files
+    code, out, err = run_cli(capsys, "field", "--lambda-file", lam,
+                             "--p-file", p_b, *extra)
+    _assert_one_line_failure(code, out, err)
+    assert "finite" in err
+
+
+def test_sweep_field_non_finite_range_exit_one(capsys, profile_files):
+    lam, p_b = profile_files
+    code, out, err = run_cli(capsys, "sweep", "field", "--param", "T",
+                             "--range", "nan:3:2", "--lambda-file", lam,
+                             "--p-file", p_b)
+    _assert_one_line_failure(code, out, err)
+    assert "delay" in err
+
+
+def test_field_csv_nan_cell_exit_one(capsys, profile_files, tmp_path):
+    lam, p_b = profile_files
+    lines = open(lam, encoding="utf-8").read().splitlines()
+    lines[100] = lines[100].split(",")[0] + ",nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "field", "--lambda-file", str(bad),
+                             "--p-file", p_b, "--T", "3")
+    _assert_one_line_failure(code, out, err)
+    assert "not finite" in err
+
+
 def test_sweep_minimal(capsys):
     code, out, _ = run_cli(capsys, "sweep", "minimal", "--param", "k",
                            "--range", "0.1:10:50", "--log", "--h", "1")

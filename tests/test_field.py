@@ -32,6 +32,33 @@ def test_profile_validation():
         Profile.from_points(np.array([0.0, 0.1, 0.25]), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite(bad):
+    vals = sin2().values.copy()
+    with pytest.raises(ValueError, match="finite"):
+        Profile(bad, 1 / 256, vals, (0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        Profile(0.0, bad, vals, (0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        Profile(0.0, 1 / 256, vals, (0.0, bad))
+    vals[100] = bad
+    with pytest.raises(ValueError, match="sample 100 is not finite"):
+        Profile(0.0, 1 / 256, vals, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("column, message", [
+    (0, "grid points must be finite"), (1, "sample 100 is not finite"),
+])
+def test_profile_csv_nan_cell_rejected(tmp_path, column, message):
+    prof = sin2()
+    rows = np.column_stack([prof.x, prof.values])
+    rows[100, column] = math.nan
+    path = tmp_path / "profile.csv"
+    path.write_text("\n".join(f"{float(x)!r},{float(v)!r}" for x, v in rows))
+    with pytest.raises(ValueError, match=message):
+        Profile.from_csv(path)
+
+
 def test_profile_csv_round_trip(tmp_path):
     prof = sin2(0.17, -1.3, 1.1)
     path = tmp_path / "profile.csv"
@@ -161,6 +188,46 @@ def test_profile_coarsening():
         prof.coarsened(0)
 
 
+def _padded_fft_overlap(profile, pad_factor):
+    """Reference: trapezoid over the explicit zero-padded rfft spectrum."""
+    n_fft = 1
+    while n_fft < profile.values.size * pad_factor:
+        n_fft *= 2
+    spectrum = np.fft.rfft(profile.values, n_fft)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=profile.dx)
+    integrand = omega * (profile.dx * np.abs(spectrum)) ** 2
+    weight = np.trapezoid(integrand, dx=omega[1] - omega[0])
+    return math.exp(-2.0 / math.pi * weight)
+
+
+def _rough_profile():
+    rng = np.random.default_rng(20111)
+    vals = np.zeros(257)
+    vals[1:-1] = 0.05 * rng.standard_normal(255)
+    return Profile(-0.4, 1 / 256, vals, (-0.4, 0.6))
+
+
+OVERLAP_PROFILES = [
+    sin2(amp, 0.0, 1.0, n)
+    for n in (129, 257, 513) for amp in (0.05, 0.1, 0.25, 0.5, 1.0)
+] + [_rough_profile()]
+
+
+@pytest.mark.parametrize("pad_factor", [1, 2, 3, 16])
+def test_overlap_matches_padded_fft(pad_factor):
+    for prof in OVERLAP_PROFILES:
+        want = _padded_fft_overlap(prof, pad_factor)
+        got = field.vacuum_overlap(prof, pad_factor)
+        assert got == pytest.approx(want, rel=1e-11), (prof.values.size,
+                                                       prof.values.max())
+
+
+@pytest.mark.parametrize("pad_factor", [0, -4])
+def test_overlap_rejects_pad_factor_below_one(pad_factor):
+    with pytest.raises(ValueError, match="pad factor"):
+        field.vacuum_overlap(sin2(), pad_factor)
+
+
 def test_overlap_agrees_with_oracle_ten_profiles():
     for eps, start, width in TEN_PROFILES:
         prof = sin2(eps, start, width)
@@ -191,6 +258,15 @@ def test_spec_validation():
         FieldProtocolSpec(lam, sin2(0.1, 0.5, 1.0), 1.0)  # overlapping supports
     with pytest.raises(ValueError):
         FieldProtocolSpec(lam, sin2(0.1, 3.0, 1.0), -1.0)  # negative delay
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_delay_and_angle(bad):
+    lam, p_b = sin2(0.1, 0.0, 1.0), sin2(0.1, 3.0, 1.0)
+    with pytest.raises(ValueError, match="delay must be finite"):
+        FieldProtocolSpec(lam, p_b, bad)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        FieldProtocolSpec(lam, p_b, 3.0, bad)
 
 
 def test_eta_zero_without_measurement():
