@@ -832,7 +832,8 @@ def load_chain_model(path) -> ChainModel:
     Operator expressions combine ``1``, ``x``, ``y``, ``z`` with real
     coefficients.
     """
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     n_sites = None
     boundary = "open"
     x_default = None
@@ -860,6 +861,8 @@ def load_chain_model(path) -> ChainModel:
                     raise ValueError("bond needs 'operator ; coupling'")
                 y = core.parse_pauli_expression(parts[0])
                 gs = [float(v) for v in parts[1].split(",")]
+                if not all(math.isfinite(g) for g in gs):
+                    raise ValueError(f"non-finite coupling in {parts[1]!r}")
                 bonds.append((lineno, y, gs[0] if len(gs) == 1 else gs))
             else:
                 raise ValueError(f"unknown key {key!r}")

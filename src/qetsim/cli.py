@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -62,9 +63,12 @@ def _parse_theta(text: str):
     if text.lower() == "auto":
         return None
     try:
-        return float(text)
+        theta = float(text)
     except ValueError:
         raise UsageError(f"theta must be a number or 'auto', got {text!r}")
+    if not math.isfinite(theta):
+        raise UsageError(f"theta must be finite, got {text!r}")
+    return theta
 
 
 def _parse_direction(text: str) -> tuple[float, float, float]:
@@ -92,8 +96,12 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return start, stop, count
 
 
-def _range_values(spec: tuple[float, float, int], log: bool) -> np.ndarray:
+def _range_values(spec: tuple[float, float, int], log: bool,
+                  name: str) -> np.ndarray:
     start, stop, count = spec
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(
+            f"the {name} range needs finite ends, got {start}:{stop}")
     if count == 1:
         return np.array([start])
     if log:
@@ -409,7 +417,8 @@ def cmd_sweep(args) -> int:
     _require(args, "param")
     if args.range_spec is None:
         raise UsageError("missing required option(s): --range")
-    values = _range_values(_parse_range(args.range_spec), args.log)
+    name = "delay T" if args.param == "T" else args.param
+    values = _range_values(_parse_range(args.range_spec), args.log, name)
     config = {"target": args.target, "param": args.param,
               "range": args.range_spec, "log": args.log}
     lines = _config_header(config, args.seed)

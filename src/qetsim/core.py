@@ -518,6 +518,9 @@ def parse_pauli_expression(text: str) -> np.ndarray:
             coef = -1.0
         else:
             coef = float(coef_text)
+            if not math.isfinite(coef):
+                raise ValueError(
+                    f"non-finite coefficient {coef_text!r} in {text!r}")
         mat += coef * PAULIS["1" if sym == "id" else sym]
         seen = True
     if not seen:

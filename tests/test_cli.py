@@ -1,6 +1,7 @@
 """CLI contracts: output schema, exit codes, config merge, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -239,6 +240,52 @@ def test_sweep_rejects_bad_param(capsys):
                            "--range", "0:1:5")
     assert code == 1
     assert "param" in err
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["minimal", "chain"])
+def test_non_finite_theta_exit_one(capsys, chain_file, command, theta):
+    args = {"minimal": ["--h", "1", "--k", "1"],
+            "chain": ["--model", chain_file, "--site-a", "0", "--site-b", "3"]}
+    code, out, err = run_cli(capsys, command, *args[command], f"--theta={theta}")
+    _assert_one_line_failure(code, out, err)
+    assert "theta must be finite" in err
+
+
+@pytest.mark.parametrize("param, spec", [
+    ("k", "1:inf:2"), ("k", "-inf:1:3"), ("theta", "nan:1:2"),
+    ("h", "1:nan:1"),
+])
+def test_sweep_minimal_non_finite_range_exit_one(capsys, param, spec):
+    with warnings.catch_warnings():
+        # a range end that reached np.linspace would warn before the error
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "sweep", "minimal", "--param", param,
+                                 f"--range={spec}")
+    _assert_one_line_failure(code, out, err)
+    assert "finite ends" in err
+
+
+@pytest.mark.parametrize("coupling", ["nan", "inf"])
+def test_chain_file_non_finite_coupling_names_line(capsys, tmp_path, coupling):
+    bad = tmp_path / "bad.chain"
+    bad.write_text("n_sites = 6\nboundary = open\nx = -1*z\n"
+                   "bond = z ; 0.5\n"
+                   f"bond = x ; -1, -1, {coupling}, -1, -1\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(bad),
+                             "--site-a", "0", "--site-b", "3")
+    _assert_one_line_failure(code, out, err)
+    assert "line 5: non-finite coupling" in err
+
+
+def test_chain_file_overflowing_coefficient_names_line(capsys, tmp_path):
+    bad = tmp_path / "bad.chain"
+    bad.write_text("n_sites = 6\nboundary = open\nx = -1e999*z\n"
+                   "bond = x ; -1\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(bad),
+                             "--site-a", "0", "--site-b", "3")
+    _assert_one_line_failure(code, out, err)
+    assert "line 3: non-finite coefficient" in err
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

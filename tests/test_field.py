@@ -177,6 +177,45 @@ def test_oracle_refinement_gate():
                                  refinement_tol=1e-6)
 
 
+def _direct_mode_variance(lambda_a, n_modes, omega_max):
+    """Reference: every mode's trapezoid transform from explicit phases."""
+    dom = omega_max / n_modes
+    x = lambda_a.x
+    weighted = lambda_a.dx * lambda_a.values
+    weighted[[0, -1]] *= 0.5
+    variance = 0.0
+    for start in range(0, n_modes, 2048):  # 2048-row phase blocks
+        om = (np.arange(start, min(start + 2048, n_modes)) + 1.0) * dom
+        transform = np.exp(1j * om[:, None] * x[None, :]) @ weighted
+        variance += float(np.sum(om * np.abs(transform) ** 2))
+    return variance * dom / math.pi
+
+
+def _rough_oracle_profile():
+    rng = np.random.default_rng(4097)
+    vals = np.zeros(257)
+    vals[1:-1] = 0.05 * rng.standard_normal(255)
+    return Profile(-1.3, 0.0031, vals, (-1.3, -1.3 + 0.0031 * 256))
+
+
+MODE_VARIANCE_PROFILES = [
+    sin2(0.1, x0, 1.0, n) for n in (257, 1025) for x0 in (-5.0, 0.0, 4.7)
+] + [_rough_oracle_profile()]
+
+
+@pytest.mark.parametrize("n_modes", [256, 4097, 16384])
+def test_mode_variance_matches_direct_sum(n_modes):
+    for prof in MODE_VARIANCE_PROFILES:
+        omega_max = 160.0 / prof.width
+        # the full tower and the refinement pass's half tower
+        for modes, top in ((n_modes, omega_max),
+                           (n_modes // 2, omega_max / math.sqrt(2.0))):
+            want = _direct_mode_variance(prof, modes, top)
+            got = field._mode_variance(prof, modes, top)
+            assert got == pytest.approx(want, rel=1e-12), (
+                prof.values.size, prof.x0, modes)
+
+
 def test_profile_coarsening():
     prof = sin2(0.1, 0.0, 1.0, 513)
     half = prof.coarsened(2)
