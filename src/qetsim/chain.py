@@ -153,29 +153,33 @@ class ChainModel:
     def sparse_hamiltonian(self) -> sp.csr_matrix:
         """The Hamiltonian as one CSR matrix, real when the model is real.
 
-        Every site operator and every bond is embedded with one ``sp.kron``
-        per run of identity sites; all entries are summed by a single
-        COO-to-CSR conversion.
+        Each site operator and each bond is a small matrix on its sorted
+        sites.  Its nonzero ``(r, c)`` entries land at ``base + offset[r]``,
+        ``base + offset[c]``: ``base`` runs over the basis indices with the
+        piece's bits clear and ``offset`` sets those bits to the local
+        index.  All entries are summed by a single COO-to-CSR conversion.
         """
-        pieces = [{n: self.x_ops[n] - self.shifts[n] * np.eye(2)}
-                  for n in range(self.n_sites)]
+        n, dim = self.n_sites, 2**self.n_sites
+        pieces = [((s,), self.x_ops[s] - self.shifts[s] * np.eye(2))
+                  for s in range(n)]
         for ch in self.channels:
             for bond in range(self.n_bonds):
                 a, b = self.bond_sites(bond)
-                pieces.append({a: ch.couplings[bond] * ch.y_ops[a],
-                               b: ch.y_ops[b]})
+                factors = {a: ch.couplings[bond] * ch.y_ops[a], b: ch.y_ops[b]}
+                sites = tuple(sorted(factors))
+                pieces.append((sites, np.kron(*(factors[s] for s in sites))))
+        index = np.arange(dim)
         rows, cols, data = [], [], []
-        for factors in pieces:
-            acc, done = sp.identity(1, dtype=complex, format="coo"), 0
-            for site in sorted(factors):
-                acc = sp.kron(acc, sp.identity(2**(site - done)), format="coo")
-                acc = sp.kron(acc, sp.coo_matrix(factors[site]), format="coo")
-                done = site + 1
-            acc = sp.kron(acc, sp.identity(2**(self.n_sites - done)), format="coo")
-            rows.append(acc.row)
-            cols.append(acc.col)
-            data.append(acc.data)
-        dim = 2**self.n_sites
+        for sites, local in pieces:
+            bits = [1 << (n - 1 - s) for s in sites]
+            base = index[(index & sum(bits)) == 0]
+            local_index = np.arange(2 ** len(sites))
+            offset = sum(((local_index >> (len(sites) - 1 - pos)) & 1) * bit
+                         for pos, bit in enumerate(bits))
+            r, c = np.nonzero(local)
+            rows.append((offset[r, None] + base).ravel())
+            cols.append((offset[c, None] + base).ravel())
+            data.append(np.repeat(local[r, c], base.size))
         ham = sp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(dim, dim)).tocsr()
@@ -549,7 +553,9 @@ def best_teleportable_energy(model: ChainModel, measurement: PovmMeasurement,
     """Best closed-form output over extraction sites and generator axes.
 
     Only valid for binary measurements with labels +1/-1, where the
-    involution closed form applies exactly.
+    involution closed form applies exactly.  Raises
+    :class:`InvariantViolation` when no site and axis gives a finite output
+    with ``xi > 0``.
     """
     labels = sorted(measurement.labels)
     if labels != [-1.0, 1.0]:
@@ -569,27 +575,28 @@ def best_teleportable_energy(model: ChainModel, measurement: PovmMeasurement,
     dirs = np.vstack([np.eye(3), _fibonacci_sphere(n_directions)])
     paulis = (core.PAULI_X, core.PAULI_Y, core.PAULI_Z)
     for site in sites:
+        ops = [LocalOperator((site,), pm) for pm in paulis]
+        ws = [apply_local(op, g, n) for op in ops]
+        hws = [model.apply_hamiltonian(w) for w in ws]
         etas = np.zeros(3)
-        for i, pm in enumerate(paulis):
-            op = LocalOperator((site,), pm)
-            w = apply_local(op, g, n)
-            w = 1j * (model.apply_hamiltonian(w) - apply_local(op, h_g, n))
+        for i, op in enumerate(ops):
+            w = 1j * (hws[i] - apply_local(op, h_g, n))
             etas[i] = np.vdot(g, apply_local(d_a, w, n)).real
         xi_mat = np.zeros((3, 3))
-        ws = [apply_local(LocalOperator((site,), pm), g, n) for pm in paulis]
-        hws = [model.apply_hamiltonian(w) for w in ws]
         for i in range(3):
             for j in range(3):
                 xi_mat[i, j] = np.vdot(ws[i], hws[j]).real
         xi_mat = 0.5 * (xi_mat + xi_mat.T)
-        for u in dirs:
-            eta_u = float(etas @ u)
-            xi_u = float(u @ xi_mat @ u)
-            if xi_u <= 0:
-                continue
-            val = 0.5 * (math.hypot(eta_u, xi_u) - xi_u)
-            if val > best:
-                best, best_site = val, site
+        eta_u = dirs @ etas
+        xi_u = np.einsum("ki,ij,kj->k", dirs, xi_mat, dirs)
+        vals = 0.5 * (np.hypot(eta_u, xi_u) - xi_u)
+        vals[~((xi_u > 0) & np.isfinite(vals))] = -math.inf
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_site = float(vals[k]), site
+    if best == -math.inf:
+        raise InvariantViolation(
+            "no extraction direction gives a finite output with xi > 0")
     return best, best_site
 
 
@@ -599,6 +606,30 @@ def _kraus_pair(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stacked = raw[0::2] + 1j * raw[1::2]
     q, _ = np.linalg.qr(stacked)
     return q[:2, :], q[2:, :]
+
+
+def _cooling_gram(model: ChainModel, site_a: int, psi: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix ``G[(ab),(cd)] = <E_ab psi|H|E_cd psi>``, ``E_cd = |c><d|``.
+
+    For any 2x2 operator ``K`` at ``site_a``,
+    ``<K psi|H|K psi> = vec(K)^H G vec(K)`` with ``vec(K) = K.ravel()``.
+    """
+    part = np.asarray(psi).reshape(2**site_a, 2, -1)
+    moved = np.zeros((4,) + part.shape, dtype=complex)
+    for c in range(2):
+        for d in range(2):
+            moved[2 * c + d, :, c, :] = part[:, d, :]
+    moved = moved.reshape(4, -1)
+    gram = moved.conj() @ model.apply_hamiltonian(moved.T)
+    if not np.isfinite(gram).all():
+        raise InvariantViolation("cooling Gram matrix has non-finite entries")
+    return gram
+
+
+def _cooling_energy(gram: np.ndarray, kraus) -> float:
+    """``sum_k vec(K_k)^H G vec(K_k)`` over the 2x2 operators ``kraus``."""
+    vecs = np.reshape(kraus, (-1, 4))
+    return float(np.einsum("ki,ij,kj->", vecs.conj(), gram, vecs).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,8 +649,13 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
 
     The minimization runs a coarse grid plus derivative-free local descent
     from seeded starts, independently per measurement label (the objective
-    separates).  The result upper-bounds the true minimum over channels, so
-    the ordering ``E_B <= E_r <= E_A`` is certified before returning.
+    separates).  Each outcome's objective is a quadratic form in the
+    entries of the cooling operators: with the branch's 4x4 Gram matrix
+    ``G`` (:func:`_cooling_gram`), a unitary ``U`` leaves
+    ``vec(U)^H G vec(U)`` and a Kraus pair ``sum_k vec(K_k)^H G vec(K_k)``,
+    so the search never touches the full state.  The result upper-bounds
+    the true minimum over channels, so the ordering ``E_B <= E_r <= E_A``
+    is certified before returning; a NaN on either side fails it.
     """
     if search_space not in ("unitary", "kraus2"):
         raise ValueError(f"unknown search space {search_space!r}")
@@ -640,26 +676,19 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
         e_a += np.vdot(branch, model.apply_hamiltonian(branch)).real
         if p < core.PROB_FLOOR:
             continue
-        psi = branch / math.sqrt(p)
+        gram = _cooling_gram(model, site_a, branch / math.sqrt(p))
 
         if search_space == "unitary":
-            def objective(params, psi=psi):
-                u = LocalOperator((site_a,), core.euler_unitary(params))
-                w = apply_local(u, psi, n)
-                return float(np.vdot(w, model.apply_hamiltonian(w)).real)
+            def objective(params, gram=gram):
+                return _cooling_energy(gram, core.euler_unitary(params))
             n_params = 3
             grid = [np.array([a, b, c])
                     for a in np.linspace(0, 2 * math.pi, 4, endpoint=False)
                     for b in np.linspace(0, math.pi, 4)
                     for c in np.linspace(0, 2 * math.pi, 4, endpoint=False)]
         else:
-            def objective(params, psi=psi):
-                k1, k2 = _kraus_pair(params)
-                val = 0.0
-                for kmat in (k1, k2):
-                    w = apply_local(LocalOperator((site_a,), kmat), psi, n)
-                    val += np.vdot(w, model.apply_hamiltonian(w)).real
-                return float(val)
+            def objective(params, gram=gram):
+                return _cooling_energy(gram, _kraus_pair(params))
             n_params = 16
             ident = np.zeros(16)
             ident[0] = ident[5] = 1.0  # stacked identity Kraus pair
@@ -688,11 +717,11 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
             e_b_max, _ = best_teleportable_energy(model, measurement)
         except ValueError:
             e_b_max = None
-    if e_r > e_a + 1e-12:
+    if not e_r <= e_a + 1e-12:
         raise InvariantViolation(
             f"cooling search ended above the input energy: {e_r!r} > {e_a!r}"
         )
-    if e_b_max is not None and e_b_max > e_r + 1e-9:
+    if e_b_max is not None and not e_b_max <= e_r + 1e-9:
         raise InvariantViolation(
             f"teleportable energy {e_b_max!r} exceeds the residual {e_r!r}"
         )

@@ -294,10 +294,13 @@ def _krylov_lowest_pair(H, dim: int) -> tuple[float, np.ndarray, float]:
     rng = np.random.default_rng(0)
     lowest, vec = _arpack_lowest(lambda v: H @ v - shift * v, dim, H.dtype, rng)
 
+    conj = vec.conj()
+
+    # Product-sums, not np.vdot: numpy's threaded BLAS competes with ARPACK's.
     def deflated(v):
-        v = v - vec * np.vdot(vec, v)
+        v = v - vec * (conj * v).sum()
         w = H @ v - shift * v
-        return w - vec * np.vdot(vec, w)
+        return w - vec * (conj * w).sum()
 
     second, _ = _arpack_lowest(deflated, dim, H.dtype, rng)
     return lowest + shift, vec, max(second - lowest, 0.0)

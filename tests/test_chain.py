@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qetsim import chain, core, ising
 from qetsim.chain import Channel, ChainModel, ChainProtocolSpec
@@ -45,6 +46,77 @@ def test_apply_matches_dense(ising8):
     rng = np.random.default_rng(7)
     v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     assert np.abs(ising8.apply_hamiltonian(v) - ising8.hamiltonian @ v).max() < 1e-10
+
+
+def _kron_sparse_hamiltonian(model):
+    """Reference assembly: each piece embedded by ``sp.kron`` per identity run."""
+    pieces = [{n: model.x_ops[n] - model.shifts[n] * np.eye(2)}
+              for n in range(model.n_sites)]
+    for ch in model.channels:
+        for bond in range(model.n_bonds):
+            a, b = model.bond_sites(bond)
+            pieces.append({a: ch.couplings[bond] * ch.y_ops[a], b: ch.y_ops[b]})
+    rows, cols, data = [], [], []
+    for factors in pieces:
+        acc, done = sp.identity(1, dtype=complex, format="coo"), 0
+        for site in sorted(factors):
+            acc = sp.kron(acc, sp.identity(2**(site - done)), format="coo")
+            acc = sp.kron(acc, sp.coo_matrix(factors[site]), format="coo")
+            done = site + 1
+        acc = sp.kron(acc, sp.identity(2**(model.n_sites - done)), format="coo")
+        rows.append(acc.row)
+        cols.append(acc.col)
+        data.append(acc.data)
+    dim = 2**model.n_sites
+    ham = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim)).tocsr()
+    ham.eliminate_zeros()
+    return ham.real if not np.any(ham.data.imag) else ham
+
+
+def _random_hermitian_chain(n, boundary, n_channels, shift_scale, seed):
+    """Unnormalized complex chain with site-dependent operators."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return a + a.conj().T
+
+    n_bonds = n if boundary == "periodic" else n - 1
+    return ChainModel(
+        n, boundary, tuple(hermitian() for _ in range(n)),
+        tuple(Channel(tuple(hermitian() for _ in range(n)),
+                      tuple(rng.uniform(-1.0, 1.0, size=n_bonds)))
+              for _ in range(n_channels)),
+        tuple(shift_scale * rng.standard_normal(n)))
+
+
+ASSEMBLY_CASES = {
+    "ising12": lambda request: request.getfixturevalue("ising12"),
+    "complex10_two_channels":
+        lambda request: _random_hermitian_chain(10, "open", 2, 0.0, 3),
+    "shifted7": lambda request: _random_hermitian_chain(7, "periodic", 1, 1.5, 4),
+    "two_sites": lambda request: minimal_as_chain(),
+    "zero": lambda request: ChainModel(
+        5, "open", tuple(np.zeros((2, 2)) for _ in range(5)),
+        (Channel(tuple(core.PAULI_X for _ in range(5)), (0.0,) * 4),),
+        (0.0,) * 5),
+}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_sparse_hamiltonian_matches_kron_assembly(case, request):
+    built = ASSEMBLY_CASES[case](request)
+    # a fresh model, so the normalized Ising chain is assembled, not shifted
+    model = ChainModel(built.n_sites, built.boundary, built.x_ops,
+                       built.channels, built.shifts)
+    got, want = model.sparse_hamiltonian, _kron_sparse_hamiltonian(model)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-15
 
 
 def test_krylov_route_matches_dense(ising8):
@@ -261,6 +333,31 @@ def test_qubit_closed_form_reference_values():
     assert e_neg == pytest.approx(e_max, abs=1e-15)
 
 
+def test_best_teleportable_energy_matches_eta_xi_scan():
+    model = chain.random_chain_model(6, np.random.default_rng(43),
+                                     boundary="open")
+    u_a = np.array([0.48, -0.6, 0.64])
+    meas = core.projective_pauli_measurement(u_a, 0)
+    sigma_a = core.pauli_component(u_a, 0)
+    best, best_site = -math.inf, None
+    dirs = np.vstack([np.eye(3), chain._fibonacci_sphere(192)])
+    for site in (3, 4, 5):
+        for u in dirs:
+            eta, xi = chain.eta_xi(model, sigma_a, core.pauli_component(u, site))
+            if xi > 0 and chain.optimal_angle(eta, xi)[1] > best:
+                best, best_site = chain.optimal_angle(eta, xi)[1], site
+    value, site = chain.best_teleportable_energy(model, meas)
+    assert value == pytest.approx(best, abs=1e-10)
+    assert site == best_site
+
+
+def test_best_teleportable_energy_rejects_nan_hamiltonian(ising8, monkeypatch):
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 0)
+    _nan_hamiltonian(monkeypatch)
+    with pytest.raises(InvariantViolation):
+        chain.best_teleportable_energy(ising8, meas)
+
+
 # -------------------------------------------------------- residual energy
 
 
@@ -371,6 +468,65 @@ def test_residual_energy_trend_toward_infinite_chain(ising8, ising12):
     print(f"  residual cooling energy by size: {values!r} "
           f"(infinite-chain reference {reference:.6f}, different measurement "
           "scheme; trend only)")
+
+
+def _direct_cooling_energy(model, site_a, psi, kraus):
+    """Reference objective: ``sum_k <K_k psi|H|K_k psi>`` on the full state."""
+    val = 0.0
+    for kmat in kraus:
+        w = core.apply_local(LocalOperator((site_a,), kmat), psi, model.n_sites)
+        val += np.vdot(w, model.apply_hamiltonian(w)).real
+    return val
+
+
+@pytest.mark.parametrize("search_space", ["unitary", "kraus2"])
+@pytest.mark.parametrize("case", ["ising8", "complex6"])
+def test_cooling_gram_matches_direct_energy(case, search_space, request):
+    if case == "ising8":
+        model, sites = request.getfixturevalue("ising8"), (1, 4)
+    else:
+        model = chain.random_chain_model(6, np.random.default_rng(31),
+                                         boundary="open")
+        assert np.iscomplexobj(model.sparse_hamiltonian.data)
+        sites = (0, 3, 5)
+    rng = np.random.default_rng(13)
+    for site_a in sites:
+        meas = core.projective_pauli_measurement((0.6, 0.0, 0.8), site_a)
+        g = model.ground.state.amplitudes
+        for _, mop in meas.operators:
+            branch = core.apply_local(mop, g, model.n_sites)
+            psi = branch / np.linalg.norm(branch)
+            gram = chain._cooling_gram(model, site_a, psi)
+            got, want = [], []
+            for _ in range(50):
+                if search_space == "unitary":
+                    kraus = (core.euler_unitary(rng.uniform(0, 2 * math.pi, 3)),)
+                else:
+                    kraus = chain._kraus_pair(rng.uniform(0, 2 * math.pi, 16))
+                got.append(chain._cooling_energy(gram, kraus))
+                want.append(_direct_cooling_energy(model, site_a, psi, kraus))
+            got, want = np.array(got), np.array(want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _nan_hamiltonian(monkeypatch):
+    monkeypatch.setattr(ChainModel, "apply_hamiltonian",
+                        lambda self, vec: np.full(np.shape(vec), np.nan))
+
+
+def test_residual_energy_rejects_nan_hamiltonian(ising8, monkeypatch):
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 1)
+    _nan_hamiltonian(monkeypatch)
+    with pytest.raises(InvariantViolation):
+        chain.residual_energy(ising8, 1, meas, n_starts=2)
+
+
+def test_residual_energy_ordering_fails_on_nan(ising8, monkeypatch):
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 1)
+    monkeypatch.setattr(chain, "best_teleportable_energy",
+                        lambda model, measurement: (math.nan, 5))
+    with pytest.raises(InvariantViolation, match="teleportable energy nan"):
+        chain.residual_energy(ising8, 1, meas, n_starts=2)
 
 
 # ---------------------------------------------------- energy distribution
