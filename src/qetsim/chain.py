@@ -14,11 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import core
 from .core import (
@@ -31,6 +29,10 @@ from .core import (
     apply_local,
     hermitize,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator
 
 DENSE_SITE_LIMIT = 12
 
@@ -159,6 +161,7 @@ class ChainModel:
         piece's bits clear and ``offset`` sets those bits to the local
         index.  All entries are summed by a single COO-to-CSR conversion.
         """
+        import scipy.sparse as sp
         n, dim = self.n_sites, 2**self.n_sites
         pieces = [((s,), self.x_ops[s] - self.shifts[s] * np.eye(2))
                   for s in range(n)]
@@ -202,6 +205,7 @@ class ChainModel:
         return self.sparse_hamiltonian @ vec
 
     def linear_operator(self) -> LinearOperator:
+        from scipy.sparse.linalg import aslinearoperator
         return aslinearoperator(self.sparse_hamiltonian)
 
     @cached_property
@@ -218,8 +222,10 @@ def normalize(model: ChainModel) -> ChainModel:
     """Shift each on-site operator so all densities average to zero.
 
     The returned model has ground eigenvalue zero within 1e-9 and
-    ``<g|T_n|g> = 0`` within 1e-9 for every site.
+    ``<g|T_n|g> = 0`` within 1e-9 for every site.  Its densities are the
+    input's minus ``eps_n`` times the identity on their supports.
     """
+    import scipy.sparse as sp
     gs = model.ground
     if gs.degenerate:
         raise InvariantViolation(
@@ -238,6 +244,8 @@ def normalize(model: ChainModel) -> ChainModel:
     shifted.__dict__["ground"] = GroundState(
         gs.energy - drop, gs.state, gs.gap, gs.degenerate
     )
+    shifted.__dict__["terms"] = tuple(
+        _shift_term(term, e) for term, e in zip(model.terms, eps))
     for n in range(shifted.n_sites):
         resid = shifted.term_expectation(n, amp)
         if abs(resid) > 1e-9:
@@ -249,6 +257,15 @@ def normalize(model: ChainModel) -> ChainModel:
             f"ground eigenvalue {shifted.ground.energy!r} after normalization"
         )
     return shifted
+
+
+def _shift_term(term: EnergyDensityTerm, eps: float) -> EnergyDensityTerm:
+    """``term`` with ``eps`` times the identity taken off its on-site part."""
+    def lowered(op: LocalOperator) -> LocalOperator:
+        return LocalOperator(op.support,
+                             op.matrix - eps * np.eye(op.matrix.shape[0]))
+    return EnergyDensityTerm(term.site, lowered(term.x_op), term.interactions,
+                             lowered(term.operator))
 
 
 @dataclass(frozen=True, eq=False)
@@ -657,6 +674,7 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
     the true minimum over channels, so the ordering ``E_B <= E_r <= E_A``
     is certified before returning; a NaN on either side fails it.
     """
+    from scipy.optimize import minimize
     if search_space not in ("unitary", "kraus2"):
         raise ValueError(f"unknown search space {search_space!r}")
     if measurement.site != site_a:

@@ -79,10 +79,15 @@ def _parse_direction(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise UsageError(f"direction must be x|y|z or 'ux,uy,uz', got {text!r}")
     u = np.array([float(p) for p in parts])
-    norm = np.linalg.norm(u)
-    if norm == 0:
+    if not np.isfinite(u).all():
+        raise UsageError(f"direction components must be finite, got {text!r}")
+    largest = np.abs(u).max()
+    if largest == 0:
         raise UsageError("direction vector must be nonzero")
-    return tuple(float(c) for c in u / norm)
+    # Divide by a power of two just above the largest component: the norm
+    # cannot overflow, and the exact rescale keeps the unscaled result's bits.
+    u = np.ldexp(u, -math.frexp(largest)[1])
+    return tuple(float(c) for c in u / np.linalg.norm(u))
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -217,6 +222,8 @@ def _require(args, *names) -> None:
 
 def cmd_minimal(args) -> int:
     _require(args, "h", "k")
+    if not (math.isfinite(args.h) and math.isfinite(args.k)):
+        raise UsageError("h and k must be finite")
     if args.h <= 0 or args.k <= 0:
         raise UsageError("h and k must be positive")
     params = minimal.MinimalParams(args.h, args.k)
@@ -251,9 +258,9 @@ def cmd_minimal(args) -> int:
 
 def cmd_chain(args) -> int:
     _require(args, "model", "site-a", "site-b")
+    direction = _parse_direction(args.direction)
     model = chain.load_chain_model(args.model)
     model = chain.normalize(model)
-    direction = _parse_direction(args.direction)
     meas = core.projective_pauli_measurement(direction, args.site_a)
     sigma_a = core.pauli_component(direction, args.site_a)
     g_b_named = {"x": core.PAULI_X, "y": core.PAULI_Y, "z": core.PAULI_Z}
@@ -309,6 +316,8 @@ def _parse_n_range(text: str) -> list[int]:
 
 
 def cmd_ising(args) -> int:
+    if not math.isfinite(args.J):
+        raise UsageError("J must be finite")
     if args.J <= 0:
         raise UsageError("J must be positive")
     config = {"J": args.J, "n": args.n, "mode": args.mode, "N": args.N,

@@ -11,13 +11,12 @@ identities, 1e-9 for eigensolver residuals.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 ATOL_CONSTRUCT = 1e-12
 ATOL_ALGEBRA = 1e-10
@@ -248,22 +247,29 @@ def ground_state(H) -> GroundState:
     ``scipy.sparse.linalg.LinearOperator`` of at most 256 dimensions.  Up to
     256 dimensions (8 sites) the full dense eigendecomposition runs, which
     is measured to be no slower than Krylov there; above, a seeded Krylov
-    solver runs.  A zero operator is reported as degenerate.  Either way
-    the eigenpair must satisfy ``|H v - E v| <= 1e-9``.
+    solver runs.  A dense ndarray of at most 256 dimensions goes straight
+    to ``numpy.linalg.eigh`` and never imports scipy.  A zero operator is
+    reported as degenerate.  Either way the eigenpair must satisfy
+    ``|H v - E v| <= 1e-9``.
     """
     dim = H.shape[0]
-    if isinstance(H, spla.LinearOperator):
-        if dim > DENSE_DIM_LIMIT:
-            raise TypeError(
-                f"a LinearOperator is accepted up to {DENSE_DIM_LIMIT} "
-                "dimensions; pass a dense or sparse matrix")
-        H = H @ np.eye(dim)
-    if not np.isfinite(H.data if sp.issparse(H) else H).all():
+    sparse = False
+    if not isinstance(H, np.ndarray):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        if isinstance(H, spla.LinearOperator):
+            if dim > DENSE_DIM_LIMIT:
+                raise TypeError(
+                    f"a LinearOperator is accepted up to {DENSE_DIM_LIMIT} "
+                    "dimensions; pass a dense or sparse matrix")
+            H = H @ np.eye(dim)
+        sparse = sp.issparse(H)
+    if not np.isfinite(H.data if sparse else H).all():
         raise ValueError("Hamiltonian has non-finite entries")
     if abs(H - H.conj().T).max() > ATOL_ALGEBRA:
         raise ValueError("Hamiltonian is not Hermitian within 1e-10")
     if dim <= DENSE_DIM_LIMIT:
-        vals, vecs = np.linalg.eigh(H.toarray() if sp.issparse(H) else H)
+        vals, vecs = np.linalg.eigh(H.toarray() if sparse else H)
         energy, vec = float(vals[0]), vecs[:, 0]
         gap = float(vals[1] - vals[0]) if dim > 1 else math.inf
     else:
@@ -308,6 +314,7 @@ def _krylov_lowest_pair(H, dim: int) -> tuple[float, np.ndarray, float]:
 
 def _arpack_lowest(matvec, dim: int, dtype, rng) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a negative definite Hermitian operator."""
+    import scipy.sparse.linalg as spla
     op = spla.LinearOperator((dim, dim), dtype=dtype, matvec=matvec)
     v0 = rng.standard_normal(dim).astype(dtype)
     try:
@@ -453,8 +460,9 @@ def pauli_component(u, site: int) -> LocalOperator:
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(u) - 1.0) > ATOL_CONSTRUCT:
-        raise ValueError(f"direction norm {np.linalg.norm(u)!r} deviates from 1")
+    norm = float(np.linalg.norm(u))
+    if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
+        raise ValueError(f"direction norm {norm!r} deviates from 1")
     mat = u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z
     return LocalOperator((site,), hermitize(mat))
 
@@ -470,13 +478,17 @@ def projective_pauli_measurement(u, site: int) -> PovmMeasurement:
 
 
 def euler_unitary(angles) -> np.ndarray:
-    """The qubit rotation Rz(a) Ry(b) Rz(c) for Euler angles (a, b, c)."""
+    """The qubit rotation Rz(a) Ry(b) Rz(c) for Euler angles (a, b, c).
+
+    With ``Rz(t) = diag(e^{-it/2}, e^{it/2})`` the product is written out
+    entry by entry.
+    """
     a, b, c = angles
-    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)],
-                   [math.sin(b / 2), math.cos(b / 2)]], dtype=complex)
-    rz2 = np.diag([np.exp(-0.5j * c), np.exp(0.5j * c)])
-    return rz1 @ ry @ rz2
+    cos_b, sin_b = math.cos(b / 2), math.sin(b / 2)
+    za, zc = cmath.exp(-0.5j * a), cmath.exp(-0.5j * c)
+    plus, minus = za * zc, za * zc.conjugate()
+    return np.array([[plus * cos_b, -minus * sin_b],
+                     [minus.conjugate() * sin_b, plus.conjugate() * cos_b]])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,15 +22,19 @@ from .chain import ChainModel, Channel
 
 @dataclass(frozen=True)
 class IsingParams:
-    """Coupling ``j`` (positive) and, for numeric mode, the chain size."""
+    """Coupling ``j`` (finite, positive) and, for numeric mode, the chain size."""
 
     j: float
     n_sites: int = 8
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if not self.j > 0:
-            raise ValueError(f"coupling must be positive, got {self.j}")
+        _check_coupling(self.j)
+
+
+def _check_coupling(j: float) -> None:
+    if not (math.isfinite(j) and j > 0):
+        raise ValueError(f"coupling must be finite and positive, got {j}")
 
 
 def build(params: IsingParams) -> ChainModel:
@@ -103,8 +107,7 @@ class IsingEnergies:
 
 def analytic_energies(j: float, n: int, c: float = ASYMPTOTIC_C) -> IsingEnergies:
     """Infinite-chain input, output, asymptotic output and residual energy."""
-    if not j > 0:
-        raise ValueError(f"coupling must be positive, got {j}")
+    _check_coupling(j)
     dl = delta_log(n)
     # z = (pi/2 * Delta)^2 through logs; sqrt(1+z)-1 without cancellation
     z = math.exp(2.0 * dl.log_abs + 2.0 * math.log(math.pi / 2.0))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import core
 from .core import (
@@ -42,6 +41,8 @@ class MinimalParams:
     k: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.h) and math.isfinite(self.k)):
+            raise ValueError(f"h and k must be finite, got h={self.h}, k={self.k}")
         if not (self.h > 0 and self.k > 0):
             raise ValueError(f"h and k must be positive, got h={self.h}, k={self.k}")
 
@@ -249,6 +250,7 @@ def _min_rotation_family(branch: np.ndarray, op: np.ndarray) -> float:
 
 def _min_general_unitary(branch: np.ndarray, op: np.ndarray,
                          n_starts: int = 8) -> float:
+    from scipy.optimize import minimize
     rng = np.random.default_rng(20_260_810)
     best = math.inf
     for _ in range(n_starts):

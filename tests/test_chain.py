@@ -141,6 +141,23 @@ def test_normalize_ising(ising8):
     assert sum(ising8.term_expectation(n, amp) for n in range(8)) < 1e-9
 
 
+@pytest.mark.parametrize("case", ["ising8", "complex8_shifted"])
+def test_normalize_carries_shifted_terms(case, request):
+    if case == "ising8":
+        model = request.getfixturevalue("ising8")
+    else:
+        model = chain.normalize(
+            _random_hermitian_chain(8, "periodic", 2, 0.7, 11))
+    for n, carried in enumerate(model.terms):
+        fresh = model.term(n)
+        assert carried.site == fresh.site == n
+        assert carried.interactions == fresh.interactions
+        for got, want in ((carried.operator, fresh.operator),
+                          (carried.x_op, fresh.x_op)):
+            assert got.support == want.support
+            assert np.abs(got.matrix - want.matrix).max() <= 1e-14
+
+
 def test_normalize_rejects_degenerate():
     zeros = np.zeros((2, 2))
     model = ChainModel(

@@ -1,10 +1,17 @@
 """CLI contracts: output schema, exit codes, config merge, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qetsim
 from qetsim import cli
 from qetsim.field import Profile
 
@@ -286,6 +293,98 @@ def test_chain_file_overflowing_coefficient_names_line(capsys, tmp_path):
                              "--site-a", "0", "--site-b", "3")
     _assert_one_line_failure(code, out, err)
     assert "line 3: non-finite coefficient" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ising", "--J", "inf", "--n", "1:3"),
+    ("ising", "--J=-inf", "--n", "1"),
+    ("ising", "--mode", "numeric", "--J", "inf", "--N", "8"),
+    ("minimal", "--h", "inf", "--k", "1"),
+    ("minimal", "--h", "1", "--k", "inf"),
+    ("sweep", "minimal", "--param", "k", "--range", "1:2:2", "--h", "inf"),
+])
+def test_non_finite_coupling_exit_one(capsys, argv):
+    with warnings.catch_warnings():
+        # a coupling that reached numpy would warn before the error
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_failure(code, out, err)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("direction", ["inf,0,0", "nan,0,1", "-inf,1,1"])
+def test_non_finite_direction_exit_one(capsys, chain_file, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "chain", "--model", chain_file,
+                                 "--site-a", "0", "--site-b", "3",
+                                 f"--direction={direction}")
+    _assert_one_line_failure(code, out, err)
+    assert "direction components must be finite" in err
+
+
+def test_direction_normalized_without_overflow(capsys, chain_file):
+    root = 1 / math.sqrt(2)
+    assert cli._parse_direction("1e308,1e308,0") == pytest.approx(
+        (root, root, 0.0), abs=1e-15)
+    # the power-of-two rescale is exact, so ordinary input keeps its bits
+    u = np.array([0.3, -0.4, 0.7])
+    assert cli._parse_direction("0.3,-0.4,0.7") == tuple(u / np.linalg.norm(u))
+    payloads = []
+    for direction in ("1e308,1e308,0", "1,1,0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "chain", "--model", chain_file,
+                                     "--site-a", "0", "--site-b", "4",
+                                     f"--direction={direction}")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        del payload["config"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from qetsim import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main(argv)
+    loaded = [m for m in ("scipy.sparse", "scipy.optimize") if m in sys.modules]
+    report.append([code, loaded])
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file):
+    # one fresh interpreter, because this one has imported scipy already
+    lam, p_b = profile_files
+    cheap = [
+        ["minimal", "--h", "1", "--k", "1"],
+        ["sweep", "minimal", "--param", "k", "--range", "0.5:2:3"],
+        ["field", "--lambda-file", lam, "--p-file", p_b, "--T", "3"],
+        ["sweep", "field", "--param", "T", "--range", "2:8:3",
+         "--lambda-file", lam, "--p-file", p_b],
+        ["ising", "--J", "1", "--n", "1:100", "--fit"],
+    ] + [["verify", "--suite", s] for s in ("core", "minimal", "ising", "field")]
+    runs = cheap + [["chain", "--model", chain_file, "--site-a", "1",
+                     "--site-b", "5"]]
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    for argv, (code, loaded) in zip(cheap, report):
+        assert code == 0, argv
+        assert loaded == [], f"{' '.join(argv[:3])} loaded {loaded}"
+    code, loaded = report[-1]
+    assert code == 0
+    assert "scipy.sparse" in loaded
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -273,6 +273,34 @@ def test_pauli_component_axes_and_involution():
         core.pauli_component((1.0, 1.0, 0.0), 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pauli_component_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="direction norm"):
+        core.pauli_component((bad, 0.0, 1.0), 0)
+
+
+def _product_euler_unitary(angles):
+    """Rz(a) Ry(b) Rz(c) as an explicit matrix product, the reference."""
+    a, b, c = angles
+    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
+    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)],
+                   [math.sin(b / 2), math.cos(b / 2)]], dtype=complex)
+    rz2 = np.diag([np.exp(-0.5j * c), np.exp(0.5j * c)])
+    return rz1 @ ry @ rz2
+
+
+def test_euler_unitary_matches_product_form():
+    # each entry is the same three unit-modulus factors multiplied in
+    # another order: a few float64 roundings apart, so 1e-15 per entry
+    rng = np.random.default_rng(71)
+    for low, high in ((0.0, 2 * math.pi), (-40.0, 40.0)):
+        for _ in range(2000):
+            angles = rng.uniform(low, high, 3)
+            got = core.euler_unitary(angles)
+            assert got.dtype == complex
+            assert np.abs(got - _product_euler_unitary(angles)).max() <= 1e-15
+
+
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(43)
     u = core.haar_unitary(4, rng)

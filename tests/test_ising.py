@@ -16,6 +16,14 @@ def test_params_validated():
         ising.build(IsingParams(1.0, 3, "periodic"))
 
 
+@pytest.mark.parametrize("j", [math.inf, math.nan])
+def test_coupling_must_be_finite(j):
+    with pytest.raises(ValueError, match="finite"):
+        IsingParams(j)
+    with pytest.raises(ValueError, match="finite"):
+        ising.analytic_energies(j, 3)
+
+
 def test_build_normalized(ising8):
     amp = ising8.ground.state.amplitudes
     for n in range(8):

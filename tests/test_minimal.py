@@ -24,6 +24,13 @@ def test_params_validated():
         MinimalParams(1.0, 0.0)
 
 
+@pytest.mark.parametrize("h, k", [(math.inf, 1.0), (1.0, math.inf),
+                                  (math.nan, 1.0)])
+def test_params_reject_non_finite(h, k):
+    with pytest.raises(ValueError, match="finite"):
+        MinimalParams(h, k)
+
+
 def test_build_symmetric_point():
     model = minimal.build(MinimalParams(1.0, 1.0))
     vals = np.linalg.eigvalsh(model.hamiltonian)
