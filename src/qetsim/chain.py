@@ -32,9 +32,6 @@ from .core import (
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-    from scipy.sparse.linalg import LinearOperator
-
-DENSE_SITE_LIMIT = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,16 +40,6 @@ class Channel:
 
     y_ops: tuple[np.ndarray, ...]
     couplings: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyDensityTerm:
-    """Assembled semi-local energy density at one site."""
-
-    site: int
-    x_op: LocalOperator
-    interactions: tuple[tuple[int, float, float], ...]  # (channel, g_left, g_right)
-    operator: LocalOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,15 +79,11 @@ class ChainModel:
     def bond_sites(self, bond: int) -> tuple[int, int]:
         return bond, (bond + 1) % self.n_sites
 
-    def _left_bond(self, n: int) -> int | None:
+    def _adjacent_bonds(self, n: int) -> tuple[int, ...]:
+        """The bonds at site n, the left one first."""
         if self.boundary == "periodic":
-            return (n - 1) % self.n_sites
-        return n - 1 if n >= 1 else None
-
-    def _right_bond(self, n: int) -> int | None:
-        if self.boundary == "periodic":
-            return n
-        return n if n <= self.n_sites - 2 else None
+            return (n - 1) % self.n_sites, n
+        return tuple(b for b in (n - 1, n) if 0 <= b < self.n_bonds)
 
     def separation(self, a: int, b: int) -> int:
         d = abs(a - b)
@@ -116,13 +99,15 @@ class ChainModel:
             sites = {m for m in (n - 1, n, n + 1) if 0 <= m < self.n_sites}
         return tuple(sorted(sites))
 
-    def term(self, n: int) -> EnergyDensityTerm:
-        """Energy density at site n: on-site operator plus half of each bond."""
+    def term(self, n: int) -> LocalOperator:
+        """Energy density T_n on the sites of :meth:`region`.
+
+        The on-site operator minus its shift, plus half of each adjacent
+        bond of every channel; the densities sum to the Hamiltonian.
+        """
         if not 0 <= n < self.n_sites:
             raise ValueError(f"site {n} out of range")
-        support = set(self.region(n))
-        support = tuple(sorted(support))
-        pos = {s: i for i, s in enumerate(support)}
+        support = self.region(n)
         dim = 2 ** len(support)
         mat = np.zeros((dim, dim), dtype=complex)
 
@@ -131,24 +116,16 @@ class ChainModel:
             return core.kron_all(*mats)
 
         mat += place({n: self.x_ops[n] - self.shifts[n] * np.eye(2)})
-        interactions = []
-        for j, ch in enumerate(self.channels):
-            lb, rb = self._left_bond(n), self._right_bond(n)
-            g_left = ch.couplings[lb] if lb is not None else 0.0
-            g_right = ch.couplings[rb] if rb is not None else 0.0
-            if lb is not None:
-                a, b = self.bond_sites(lb)
-                mat += 0.5 * g_left * place({a: ch.y_ops[a], b: ch.y_ops[b]})
-            if rb is not None:
-                a, b = self.bond_sites(rb)
-                mat += 0.5 * g_right * place({a: ch.y_ops[a], b: ch.y_ops[b]})
-            interactions.append((j, g_left, g_right))
-        op = LocalOperator(support, hermitize(mat))
-        x_local = LocalOperator((n,), self.x_ops[n] - self.shifts[n] * np.eye(2))
-        return EnergyDensityTerm(n, x_local, tuple(interactions), op)
+        for ch in self.channels:
+            for bond in self._adjacent_bonds(n):
+                a, b = self.bond_sites(bond)
+                mat += 0.5 * ch.couplings[bond] * place(
+                    {a: ch.y_ops[a], b: ch.y_ops[b]})
+        return LocalOperator(support, hermitize(mat))
 
     @cached_property
-    def terms(self) -> tuple[EnergyDensityTerm, ...]:
+    def terms(self) -> tuple[LocalOperator, ...]:
+        """The density :meth:`term` of every site, in site order."""
         return tuple(self.term(n) for n in range(self.n_sites))
 
     @cached_property
@@ -191,30 +168,16 @@ class ChainModel:
             ham = ham.real
         return ham
 
-    @cached_property
-    def hamiltonian(self) -> np.ndarray:
-        """Dense view of :attr:`sparse_hamiltonian` (up to 12 sites)."""
-        if self.n_sites > DENSE_SITE_LIMIT:
-            raise ValueError(
-                f"dense Hamiltonian limited to {DENSE_SITE_LIMIT} sites; "
-                "use sparse_hamiltonian / apply_hamiltonian"
-            )
-        return self.sparse_hamiltonian.toarray()
-
     def apply_hamiltonian(self, vec: np.ndarray) -> np.ndarray:
         return self.sparse_hamiltonian @ vec
-
-    def linear_operator(self) -> LinearOperator:
-        from scipy.sparse.linalg import aslinearoperator
-        return aslinearoperator(self.sparse_hamiltonian)
 
     @cached_property
     def ground(self) -> GroundState:
         return core.ground_state(self.sparse_hamiltonian)
 
     def term_expectation(self, n: int, amplitudes: np.ndarray) -> float:
-        op = self.terms[n].operator
-        val = np.vdot(amplitudes, apply_local(op, amplitudes, self.n_sites))
+        val = np.vdot(amplitudes,
+                      apply_local(self.terms[n], amplitudes, self.n_sites))
         return float(val.real)
 
 
@@ -245,7 +208,8 @@ def normalize(model: ChainModel) -> ChainModel:
         gs.energy - drop, gs.state, gs.gap, gs.degenerate
     )
     shifted.__dict__["terms"] = tuple(
-        _shift_term(term, e) for term, e in zip(model.terms, eps))
+        LocalOperator(op.support, op.matrix - e * np.eye(op.matrix.shape[0]))
+        for op, e in zip(model.terms, eps))
     for n in range(shifted.n_sites):
         resid = shifted.term_expectation(n, amp)
         if abs(resid) > 1e-9:
@@ -257,15 +221,6 @@ def normalize(model: ChainModel) -> ChainModel:
             f"ground eigenvalue {shifted.ground.energy!r} after normalization"
         )
     return shifted
-
-
-def _shift_term(term: EnergyDensityTerm, eps: float) -> EnergyDensityTerm:
-    """``term`` with ``eps`` times the identity taken off its on-site part."""
-    def lowered(op: LocalOperator) -> LocalOperator:
-        return LocalOperator(op.support,
-                             op.matrix - eps * np.eye(op.matrix.shape[0]))
-    return EnergyDensityTerm(term.site, lowered(term.x_op), term.interactions,
-                             lowered(term.operator))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,20 +242,15 @@ def negative_density_witness(model: ChainModel, n: int,
     ground states a nonnegative value is returned with the flag cleared.
     """
     term = model.terms[n]
-    vals, vecs = np.linalg.eigh(term.operator.matrix)
+    vals, vecs = np.linalg.eigh(term.matrix)
     eps_minus = float(vals[0])
-    local_vec = vecs[:, 0]
-    full = np.zeros(2**model.n_sites, dtype=complex)
-    k = term.operator.n_support
-    for idx in range(2**k):
-        amp = local_vec[idx]
-        if amp == 0:
-            continue
-        g_idx = 0
-        for pos, site in enumerate(term.operator.support):
-            bit = (idx >> (k - 1 - pos)) & 1
-            g_idx |= bit << (model.n_sites - 1 - site)
-        full[g_idx] = amp
+    # The local vector times |0> on every other site; the support is sorted,
+    # so its axes keep their order in the full tensor.
+    full = np.zeros((2,) * model.n_sites, dtype=complex)
+    full[tuple(slice(None) if s in term.support else 0
+               for s in range(model.n_sites))] = (
+        vecs[:, 0].reshape((2,) * term.n_support))
+    full = full.reshape(-1)
     witness = StateVector(model.n_sites, full / np.linalg.norm(full))
 
     if probe_site is None:
@@ -317,7 +267,7 @@ def negative_density_witness(model: ChainModel, n: int,
     probe = LocalOperator(
         (probe_site,),
         core.PAULI_Z if probe_matrix is None else probe_matrix)
-    t_amp = apply_local(term.operator, amp, model.n_sites)
+    t_amp = apply_local(term, amp, model.n_sites)
     joint = np.vdot(amp, apply_local(probe, t_amp, model.n_sites))
     t_only = np.vdot(amp, t_amp)
     o_only = np.vdot(amp, apply_local(probe, amp, model.n_sites))
@@ -395,6 +345,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
     e_a_global = 0.0
     records = []
     branches = []
+    unitaries = []
     rotated_branches = []
     for label, mop in spec.measurement.operators:
         branch = apply_local(mop, g, n)
@@ -404,8 +355,9 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
         for m in region_a:
             e_a_local += model.term_expectation(m, branch)
         u = LocalOperator((spec.site_b,), _bounded_unitary(spec.g_b, label * spec.theta))
+        unitaries.append(u)
         rotated = apply_local(u, branch, n)
-        rotated_branches.append((label, p, rotated))
+        rotated_branches.append(rotated)
         if p > core.PROB_FLOOR:
             records.append(OutcomeRecord(
                 label, p,
@@ -431,7 +383,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
     total_after = 0.0
     local_b = 0.0
     site_energies = np.zeros(model.n_sites)
-    for _, _, rotated in rotated_branches:
+    for rotated in rotated_branches:
         total_after += np.vdot(rotated, model.apply_hamiltonian(rotated)).real
         for m in range(model.n_sites):
             site_energies[m] += model.term_expectation(m, rotated)
@@ -440,15 +392,14 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
 
     # independent route through the measurement elements
     e_b_density_route = 0.0
-    for label, mop in spec.measurement.operators:
+    for (_, mop), u in zip(spec.measurement.operators, unitaries):
         pi_op = LocalOperator((spec.site_a,),
                               mop.matrix.conj().T @ mop.matrix)
-        u = _bounded_unitary(spec.g_b, label * spec.theta)
-        w = apply_local(LocalOperator((spec.site_b,), u), g, n)
+        w = apply_local(u, g, n)
         hw = np.zeros_like(w)
         for m in region_b:
-            hw += apply_local(model.terms[m].operator, w, n)
-        hw = apply_local(LocalOperator((spec.site_b,), u.conj().T), hw, n)
+            hw += apply_local(model.terms[m], w, n)
+        hw = apply_local(LocalOperator((spec.site_b,), u.matrix.conj().T), hw, n)
         e_b_density_route -= np.vdot(apply_local(pi_op, g, n), hw).real
     if abs(e_b_state_route - e_b_density_route) > 1e-10:
         raise InvariantViolation(
@@ -470,13 +421,13 @@ def _local_energy_operator(model: ChainModel, site: int) -> LocalOperator:
     """Sum of the densities around ``site`` as one local operator."""
     sites = set()
     for m in model.region(site):
-        sites.update(model.terms[m].operator.support)
+        sites.update(model.terms[m].support)
     union = tuple(sorted(sites))
     pos = {s: i for i, s in enumerate(union)}
     k = len(union)
     mat = np.zeros((2**k, 2**k), dtype=complex)
     for m in model.region(site):
-        op = model.terms[m].operator
+        op = model.terms[m]
         inner = LocalOperator(tuple(pos[s] for s in op.support), op.matrix)
         mat += core.embed_local(inner, k)
     return LocalOperator(union, hermitize(mat))

@@ -222,10 +222,6 @@ def _require(args, *names) -> None:
 
 def cmd_minimal(args) -> int:
     _require(args, "h", "k")
-    if not (math.isfinite(args.h) and math.isfinite(args.k)):
-        raise UsageError("h and k must be finite")
-    if args.h <= 0 or args.k <= 0:
-        raise UsageError("h and k must be positive")
     params = minimal.MinimalParams(args.h, args.k)
     theta_opt, e_b_max = minimal.optimize(params)
     theta = _parse_theta(args.theta)
@@ -316,10 +312,6 @@ def _parse_n_range(text: str) -> list[int]:
 
 
 def cmd_ising(args) -> int:
-    if not math.isfinite(args.J):
-        raise UsageError("J must be finite")
-    if args.J <= 0:
-        raise UsageError("J must be positive")
     config = {"J": args.J, "n": args.n, "mode": args.mode, "N": args.N,
               "fit": args.fit}
     lines = _config_header(config, args.seed)
@@ -438,8 +430,6 @@ def cmd_sweep(args) -> int:
         for idx, val in enumerate(values):
             h = float(val) if args.param == "h" else args.h
             k = float(val) if args.param == "k" else args.k
-            if h <= 0 or k <= 0:
-                raise UsageError("swept h and k values must stay positive")
             params = minimal.MinimalParams(h, k)
             theta_opt, e_b_max = minimal.optimize(params)
             if args.param == "theta":

@@ -77,15 +77,6 @@ class StateVector:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray) -> "StateVector":
-        amp = np.asarray(amplitudes, dtype=complex)
-        n = int(round(math.log2(amp.size)))
-        nrm = np.linalg.norm(amp)
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(n, amp / nrm)
-
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
@@ -112,9 +103,6 @@ class LocalOperator:
     @property
     def n_support(self) -> int:
         return len(self.support)
-
-    def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.support, self.matrix.conj().T)
 
     def is_hermitian(self, atol: float = ATOL_ALGEBRA) -> bool:
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= atol)
@@ -223,10 +211,6 @@ def apply_local(op: LocalOperator, amplitudes: np.ndarray, n_total: int) -> np.n
     return out.transpose(np.argsort(order)).reshape(-1)
 
 
-def expectation_local(op: LocalOperator, state: StateVector) -> complex:
-    return np.vdot(state.amplitudes, apply_local(op, state.amplitudes, state.n_sites))
-
-
 @dataclass(frozen=True, eq=False)
 class GroundState:
     """Lowest eigenpair with spectral-gap degeneracy flag."""
@@ -243,27 +227,16 @@ DENSE_DIM_LIMIT = 256
 def ground_state(H) -> GroundState:
     """Lowest eigenvalue and eigenvector of a Hermitian operator.
 
-    Accepts a dense ndarray or a ``scipy.sparse`` matrix of any size, or a
-    ``scipy.sparse.linalg.LinearOperator`` of at most 256 dimensions.  Up to
-    256 dimensions (8 sites) the full dense eigendecomposition runs, which
-    is measured to be no slower than Krylov there; above, a seeded Krylov
-    solver runs.  A dense ndarray of at most 256 dimensions goes straight
-    to ``numpy.linalg.eigh`` and never imports scipy.  A zero operator is
-    reported as degenerate.  Either way the eigenpair must satisfy
-    ``|H v - E v| <= 1e-9``.
+    ``H`` is a dense ndarray or a ``scipy.sparse`` matrix, of any size;
+    nothing else is accepted.  Up to 256 dimensions (8 sites) the full
+    dense eigendecomposition runs, which is measured to be no slower than
+    Krylov there; above, a seeded Krylov solver runs.  A dense ndarray of
+    at most 256 dimensions goes straight to ``numpy.linalg.eigh`` and never
+    imports scipy.  A zero operator is reported as degenerate.  Either way
+    the eigenpair must satisfy ``|H v - E v| <= 1e-9``.
     """
     dim = H.shape[0]
-    sparse = False
-    if not isinstance(H, np.ndarray):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-        if isinstance(H, spla.LinearOperator):
-            if dim > DENSE_DIM_LIMIT:
-                raise TypeError(
-                    f"a LinearOperator is accepted up to {DENSE_DIM_LIMIT} "
-                    "dimensions; pass a dense or sparse matrix")
-            H = H @ np.eye(dim)
-        sparse = sp.issparse(H)
+    sparse = not isinstance(H, np.ndarray)
     if not np.isfinite(H.data if sparse else H).all():
         raise ValueError("Hamiltonian has non-finite entries")
     if abs(H - H.conj().T).max() > ATOL_ALGEBRA:

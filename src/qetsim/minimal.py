@@ -41,10 +41,9 @@ class MinimalParams:
     k: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and math.isfinite(self.k)):
-            raise ValueError(f"h and k must be finite, got h={self.h}, k={self.k}")
-        if not (self.h > 0 and self.k > 0):
-            raise ValueError(f"h and k must be positive, got h={self.h}, k={self.k}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.h, self.k)):
+            raise ValueError(
+                f"h and k must be finite and positive, got h={self.h}, k={self.k}")
 
     @property
     def energy_scale(self) -> float:
@@ -323,8 +322,17 @@ def entanglement_bound(params: MinimalParams, m: PovmMeasurement,
     r = params.energy_scale
     cos_s = params.h / r
     sin_s = params.k / r
-    prefactor = ((1 + sin_s**2) / (2 * cos_s**3)
-                 * math.log((1 + cos_s) / (1 - cos_s)))
+    # Far from h ~ k the prefactor leaves double range: cos_s**3 underflows
+    # for h below about 1e-102 k, and 1 - cos_s rounds to 0 for k below
+    # about 1e-8 h.
+    try:
+        prefactor = ((1 + sin_s**2) / (2 * cos_s**3)
+                     * math.log((1 + cos_s) / (1 - cos_s)))
+    except ZeroDivisionError:
+        prefactor = math.inf
+    if not math.isfinite(prefactor):
+        raise ValueError(f"the entanglement-bound prefactor is not finite "
+                         f"at h={params.h}, k={params.k}")
     max_e_b = max_teleported_energy(params, m, unitary_family)
     rhs = prefactor * max_e_b / r
     return EntanglementBound(delta_s, rhs, delta_s >= rhs - 1e-9,

@@ -38,14 +38,15 @@ def decoupled_chain(n=6):
 
 
 def test_terms_sum_to_hamiltonian(ising8):
-    total = sum(core.embed_local(t.operator, 8) for t in ising8.terms)
-    assert np.abs(total - ising8.hamiltonian).max() < 1e-12
+    total = sum(core.embed_local(t, 8) for t in ising8.terms)
+    assert np.abs(total - ising8.sparse_hamiltonian.toarray()).max() < 1e-12
 
 
 def test_apply_matches_dense(ising8):
     rng = np.random.default_rng(7)
     v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    assert np.abs(ising8.apply_hamiltonian(v) - ising8.hamiltonian @ v).max() < 1e-10
+    dense = ising8.sparse_hamiltonian.toarray()
+    assert np.abs(ising8.apply_hamiltonian(v) - dense @ v).max() < 1e-10
 
 
 def _kron_sparse_hamiltonian(model):
@@ -119,11 +120,6 @@ def test_sparse_hamiltonian_matches_kron_assembly(case, request):
     assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-15
 
 
-def test_krylov_route_matches_dense(ising8):
-    krylov = core.ground_state(ising8.linear_operator())
-    assert krylov.energy == pytest.approx(ising8.ground.energy, abs=1e-9)
-
-
 def test_minimal_chain_already_normalized():
     model = minimal_as_chain()
     amp = model.ground.state.amplitudes
@@ -150,12 +146,8 @@ def test_normalize_carries_shifted_terms(case, request):
             _random_hermitian_chain(8, "periodic", 2, 0.7, 11))
     for n, carried in enumerate(model.terms):
         fresh = model.term(n)
-        assert carried.site == fresh.site == n
-        assert carried.interactions == fresh.interactions
-        for got, want in ((carried.operator, fresh.operator),
-                          (carried.x_op, fresh.x_op)):
-            assert got.support == want.support
-            assert np.abs(got.matrix - want.matrix).max() <= 1e-14
+        assert carried.support == fresh.support
+        assert np.abs(carried.matrix - fresh.matrix).max() <= 1e-14
 
 
 def test_normalize_rejects_degenerate():
@@ -185,9 +177,8 @@ def test_witness_negative_on_critical_chain(ising8):
         w = chain.negative_density_witness(ising8, n)
         assert w.epsilon_minus < 0
         assert w.factorization_broken
-        val = core.expectation_local(
-            ising8.terms[n].operator, w.witness_state)
-        assert abs(val.real - w.epsilon_minus) < 1e-10
+        val = ising8.term_expectation(n, w.witness_state.amplitudes)
+        assert abs(val - w.epsilon_minus) < 1e-10
 
 
 def test_witness_zero_on_decoupled_chain():
@@ -200,10 +191,41 @@ def test_witness_zero_on_decoupled_chain():
 def test_witness_small_n_dense_oracle(ising8):
     # lowest eigenvalue of the embedded density equals the full-space minimum
     n = 4
-    embedded = core.embed_local(ising8.terms[n].operator, 8)
+    embedded = core.embed_local(ising8.terms[n], 8)
     direct = np.linalg.eigvalsh(embedded)[0]
     w = chain.negative_density_witness(ising8, n)
     assert w.epsilon_minus == pytest.approx(direct, abs=1e-12)
+
+
+def _witness_by_bits(model, n):
+    """Reference embedding: set each global index bit by bit."""
+    term = model.terms[n]
+    local_vec = np.linalg.eigh(term.matrix)[1][:, 0]
+    full = np.zeros(2**model.n_sites, dtype=complex)
+    k = term.n_support
+    for idx in range(2**k):
+        amp = local_vec[idx]
+        if amp == 0:
+            continue
+        g_idx = 0
+        for pos, site in enumerate(term.support):
+            bit = (idx >> (k - 1 - pos)) & 1
+            g_idx |= bit << (model.n_sites - 1 - site)
+        full[g_idx] = amp
+    return full / np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("case", ["ising8", "complex8_two_channels"])
+def test_witness_state_matches_bitwise_embedding(case, request):
+    if case == "ising8":
+        model = request.getfixturevalue("ising8")
+    else:
+        model = chain.normalize(
+            _random_hermitian_chain(8, "open", 2, 0.0, 3))
+    for n in range(model.n_sites):
+        w = chain.negative_density_witness(model, n)
+        assert np.array_equal(w.witness_state.amplitudes,
+                              _witness_by_bits(model, n))
 
 
 # ------------------------------------------------------------ protocol runs
@@ -312,7 +334,7 @@ def test_locality_commutators(ising8):
     covered = set(ising8.region(site_a)) | set(ising8.region(site_b))
     for n in range(8):
         if n not in covered:
-            h_rest += core.embed_local(ising8.terms[n].operator, 8)
+            h_rest += core.embed_local(ising8.terms[n], 8)
     meas = core.projective_pauli_measurement((1.0, 0, 0), site_a)
     for _, mop in meas.operators:
         full = core.embed_local(mop, 8)
@@ -426,7 +448,7 @@ def test_residual_energy_minimal_model_positive():
         branch = core.apply_local(mop, g, 2)
         p = float(np.vdot(branch, branch).real)
         expect += p * _pauli_site_decomposition(
-            np.asarray(model.hamiltonian, dtype=complex), 0, 2,
+            model.sparse_hamiltonian.toarray().astype(complex), 0, 2,
             branch / math.sqrt(p))
     assert res.e_r == pytest.approx(expect, abs=1e-8)
 
@@ -442,7 +464,7 @@ def test_residual_energy_oracle_random_chain():
         branch = core.apply_local(mop, g, 6)
         p = float(np.vdot(branch, branch).real)
         expect += p * _pauli_site_decomposition(
-            np.asarray(model.hamiltonian, dtype=complex), 3, 6,
+            model.sparse_hamiltonian.toarray().astype(complex), 3, 6,
             branch / math.sqrt(p))
     assert res.e_r == pytest.approx(expect, abs=1e-8)
 
@@ -615,8 +637,8 @@ def test_general_two_channel_site_dependent_model():
     assert not model.ground.degenerate
     model = chain.normalize(model)
 
-    total = sum(core.embed_local(t.operator, n) for t in model.terms)
-    assert np.abs(total - model.hamiltonian).max() < 1e-12
+    total = sum(core.embed_local(t, n) for t in model.terms)
+    assert np.abs(total - model.sparse_hamiltonian.toarray()).max() < 1e-12
 
     meas = core.projective_pauli_measurement((0.0, 0.0, 1.0), 1)
     sigma_a = core.pauli_component((0.0, 0.0, 1.0), 1)
@@ -629,8 +651,8 @@ def test_general_two_channel_site_dependent_model():
     assert run.local_energy_b == pytest.approx(-run.e_b, abs=1e-10)
 
     w = chain.negative_density_witness(model, 3)
-    val = core.expectation_local(model.terms[3].operator, w.witness_state)
-    assert abs(val.real - w.epsilon_minus) < 1e-10
+    val = model.term_expectation(3, w.witness_state.amplitudes)
+    assert abs(val - w.epsilon_minus) < 1e-10
 
 
 # ------------------------------------------------- beyond the dense limit
@@ -640,8 +662,6 @@ def test_krylov_ground_beyond_dense_limit():
     rng = np.random.default_rng(5)
     model = chain.random_chain_model(13, rng, boundary="open")
     assert abs(model.ground.energy) < 1e-9  # normalized through the Krylov path
-    with pytest.raises(ValueError):
-        model.hamiltonian  # dense assembly refuses above twelve sites
     # independent sparse-matrix route to the ground energy
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
@@ -716,7 +736,7 @@ def _check_against_dense(model, krylov_calls):
     krylov_calls.clear()
     gs = core.ground_state(ham)
     assert krylov_calls == [ham.shape[0]]
-    vals, vecs = np.linalg.eigh(model.hamiltonian)
+    vals, vecs = np.linalg.eigh(ham.toarray())
     assert gs.energy == pytest.approx(vals[0], abs=1e-9)
     assert gs.degenerate == (vals[1] - vals[0] < core.GAP_DEGENERATE)
     return gs, vals, vecs

@@ -302,6 +302,9 @@ def test_chain_file_overflowing_coefficient_names_line(capsys, tmp_path):
     ("minimal", "--h", "inf", "--k", "1"),
     ("minimal", "--h", "1", "--k", "inf"),
     ("sweep", "minimal", "--param", "k", "--range", "1:2:2", "--h", "inf"),
+    ("ising", "--J", "0", "--n", "1"),
+    ("minimal", "--h", "-1", "--k", "1"),
+    ("sweep", "minimal", "--param", "k", "--range=-1:1:3"),
 ])
 def test_non_finite_coupling_exit_one(capsys, argv):
     with warnings.catch_warnings():
@@ -309,7 +312,15 @@ def test_non_finite_coupling_exit_one(capsys, argv):
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)
     _assert_one_line_failure(code, out, err)
-    assert "finite" in err
+    assert "finite and positive" in err
+
+
+@pytest.mark.parametrize("h, k", [("1e-300", "1"), ("1e-200", "1"),
+                                  ("1", "1e-9")])
+def test_minimal_bound_out_of_range_exit_one(capsys, h, k):
+    code, out, err = run_cli(capsys, "minimal", "--h", h, "--k", k)
+    _assert_one_line_failure(code, out, err)
+    assert f"h={float(h)}, k={float(k)}" in err
 
 
 @pytest.mark.parametrize("direction", ["inf,0,0", "nan,0,1", "-inf,1,1"])
