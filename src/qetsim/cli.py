@@ -29,6 +29,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
+        if message.startswith("argument --range: expected one argument"):
+            message += "; a negative start needs --range=START:STOP:COUNT"
         raise UsageError(message)
 
 
@@ -200,7 +202,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                              help="fan a subcommand over a parameter range")
     p_sweep.add_argument("target", choices=("minimal", "field"))
     p_sweep.add_argument("--param")
-    p_sweep.add_argument("--range", dest="range_spec")
+    p_sweep.add_argument("--range", dest="range_spec", metavar="START:STOP:COUNT",
+                         help="write --range=START:STOP:COUNT if START is negative")
     p_sweep.add_argument("--log", action="store_true")
     p_sweep.add_argument("--h", type=float, default=1.0)
     p_sweep.add_argument("--k", type=float, default=1.0)

@@ -6,7 +6,9 @@ Site 0 is the most significant bit of the amplitude index, so a basis state
 ``|b_0 b_1 ... b_{N-1}>`` has index ``sum(b_s << (N-1-s))`` and operators on
 ordered sites compose by plain ``numpy.kron``.  All tolerances follow a three
 level scheme: 1e-12 for construction invariants, 1e-10 for algebraic
-identities, 1e-9 for eigensolver residuals.
+identities, 1e-9 for eigensolver residuals.  :func:`check_close` and
+:func:`check_at_most` multiply the level by the model's declared coupling
+and fail on any NaN or inf.
 """
 
 from __future__ import annotations
@@ -37,6 +39,22 @@ class InvariantViolation(RuntimeError):
 
 class EigensolverError(RuntimeError):
     """Extremal eigensolver did not converge to the requested residual."""
+
+
+def check_close(name: str, got, want, tol: float, scale: float = 1.0) -> None:
+    """Require ``|got - want| <= tol * scale`` with both sides finite."""
+    if not (cmath.isfinite(got) and cmath.isfinite(want)
+            and abs(got - want) <= tol * scale):
+        raise InvariantViolation(
+            f"{name} {got} differs from {want} by more than {tol * scale:.3g}")
+
+
+def check_at_most(name: str, got, bound, tol: float, scale: float = 1.0) -> None:
+    """Require ``got <= bound + tol * scale`` with both sides finite."""
+    if not (math.isfinite(got) and math.isfinite(bound)
+            and got <= bound + tol * scale):
+        raise InvariantViolation(
+            f"{name} {got} exceeds {bound} by more than {tol * scale:.3g}")
 
 
 def kron_all(*mats: np.ndarray) -> np.ndarray:
@@ -224,7 +242,7 @@ class GroundState:
 DENSE_DIM_LIMIT = 256
 
 
-def ground_state(H) -> GroundState:
+def ground_state(H, scale: float = 1.0) -> GroundState:
     """Lowest eigenvalue and eigenvector of a Hermitian operator.
 
     ``H`` is a dense ndarray or a ``scipy.sparse`` matrix, of any size;
@@ -232,15 +250,18 @@ def ground_state(H) -> GroundState:
     dense eigendecomposition runs, which is measured to be no slower than
     Krylov there; above, a seeded Krylov solver runs.  A dense ndarray of
     at most 256 dimensions goes straight to ``numpy.linalg.eigh`` and never
-    imports scipy.  A zero operator is reported as degenerate.  Either way
-    the eigenpair must satisfy ``|H v - E v| <= 1e-9``.
+    imports scipy.  ``scale`` is the operator's energy scale: ``H`` must be
+    Hermitian within ``1e-10 * scale``, the eigenpair must satisfy
+    ``|H v - E v| <= 1e-9 * scale``, and a gap not above ``1e-8 * scale``
+    (so any gap of a zero operator) is reported as degenerate.
     """
     dim = H.shape[0]
     sparse = not isinstance(H, np.ndarray)
     if not np.isfinite(H.data if sparse else H).all():
         raise ValueError("Hamiltonian has non-finite entries")
-    if abs(H - H.conj().T).max() > ATOL_ALGEBRA:
-        raise ValueError("Hamiltonian is not Hermitian within 1e-10")
+    if not abs(H - H.conj().T).max() <= ATOL_ALGEBRA * scale:
+        raise ValueError(
+            f"Hamiltonian is not Hermitian within {ATOL_ALGEBRA * scale:.3g}")
     if dim <= DENSE_DIM_LIMIT:
         vals, vecs = np.linalg.eigh(H.toarray() if sparse else H)
         energy, vec = float(vals[0]), vecs[:, 0]
@@ -248,11 +269,12 @@ def ground_state(H) -> GroundState:
     else:
         energy, vec, gap = _krylov_lowest_pair(H, dim)
     residual = np.linalg.norm(H @ vec - energy * vec)
-    if residual > ATOL_RESIDUAL:
-        raise EigensolverError(f"eigensolver residual {residual:.3g} > 1e-9")
+    if not residual <= ATOL_RESIDUAL * scale:
+        raise EigensolverError(
+            f"eigensolver residual {residual:.3g} > {ATOL_RESIDUAL * scale:.3g}")
     n = int(round(math.log2(dim)))
     return GroundState(energy, StateVector(n, vec / np.linalg.norm(vec)),
-                       gap, gap < GAP_DEGENERATE)
+                       gap, not gap > GAP_DEGENERATE * scale)
 
 
 def _krylov_lowest_pair(H, dim: int) -> tuple[float, np.ndarray, float]:
@@ -407,8 +429,7 @@ def apply_measurement(state: StateVector, m: PovmMeasurement) -> MeasurementResu
         outcomes.append(
             MeasurementOutcome(label, p, StateVector(state.n_sites, branch / math.sqrt(p)))
         )
-    if abs(total - 1.0) > ATOL_ALGEBRA:
-        raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
+    check_close("outcome probability sum", total, 1.0, ATOL_ALGEBRA)
     return MeasurementResult(tuple(outcomes), tuple(dropped))
 
 
@@ -423,8 +444,7 @@ def time_evolve(state: StateVector, H: np.ndarray, t: float) -> StateVector:
     phases = np.exp(-1j * vals * t)
     out = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
     norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > ATOL_ALGEBRA:
-        raise InvariantViolation(f"evolution changed the norm to {norm!r}")
+    check_close("norm after evolution", norm, 1.0, ATOL_ALGEBRA)
     return StateVector(state.n_sites, out / norm)
 
 

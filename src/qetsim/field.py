@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantViolation
+from .core import check_at_most, check_close
 
 MIN_SUPPORT_SAMPLES = 64
 ZERO_TOL = 1e-14
@@ -358,35 +358,39 @@ def output_energy(spec: FieldProtocolSpec,
     """Optimal angle and extracted energy; ``theta = None`` means optimal.
 
     The extracted energy is checked against the fully expanded profile
-    functional and a dense angle sweep before returning.
+    functional and a dense angle sweep before returning.  A profile whose
+    functionals leave double range is rejected by name.
     """
-    overlap = vacuum_overlap(spec.lambda_a, pad_factor)
-    kernel = kernel_double_integral(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = vacuum_overlap(spec.lambda_a, pad_factor)
+        e_a = input_energy(spec.lambda_a)
+        xi = derivative_squared_integral(spec.p_b)
+        kernel = kernel_double_integral(spec)
     eta = -4.0 / math.pi * overlap * kernel
-    xi = derivative_squared_integral(spec.p_b)
+    for name, values in (("lambda_A", (overlap, e_a)), ("p_B", (xi,)),
+                         ("pair lambda_A, p_B", (kernel * kernel, eta * eta))):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"profile {name} is out of range: its energy "
+                             "functionals are not finite")
     if xi <= 0:
         raise ValueError(f"displacement fluctuation must be positive, got {xi}")
     theta_opt = eta / (2.0 * xi)
     e_b_max = eta * eta / (4.0 * xi)
     expanded = (4.0 * overlap**2 / math.pi**2) * kernel**2 / xi
-    if abs(expanded - e_b_max) > 1e-12 * max(1.0, abs(e_b_max)):
-        raise InvariantViolation(
-            f"the two output-energy expressions disagree: {e_b_max!r} vs "
-            f"{expanded!r}"
-        )
+    scale = max(1.0, abs(e_b_max))
+    check_close("expanded output energy", expanded, e_b_max, 1e-12, scale)
     half_span = 2.0 * abs(theta_opt) + 1e-6
     sweep_thetas = np.linspace(-half_span, half_span, 2001)
     sweep = sweep_thetas * eta - sweep_thetas**2 * xi
     grid_step = sweep_thetas[1] - sweep_thetas[0]
-    if sweep.max() > e_b_max + 1e-12 * max(1.0, abs(e_b_max)):
-        raise InvariantViolation("angle sweep exceeded the closed-form optimum")
-    if abs(sweep_thetas[int(np.argmax(sweep))] - theta_opt) > grid_step:
-        raise InvariantViolation("angle sweep peaks away from the closed form")
+    check_at_most("angle sweep maximum", sweep.max(), e_b_max, 1e-12, scale)
+    check_close("angle sweep peak", sweep_thetas[int(np.argmax(sweep))],
+                theta_opt, grid_step)
     theta = theta_opt if spec.theta is None else float(spec.theta)
     e_b_at_theta = theta * eta - theta * theta * xi
     return FieldProtocolResult(
         float(theta_opt), float(e_b_max), float(eta), float(xi),
-        float(overlap), input_energy(spec.lambda_a), theta, float(e_b_at_theta),
+        float(overlap), e_a, theta, float(e_b_at_theta),
     )
 
 

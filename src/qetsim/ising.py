@@ -60,7 +60,7 @@ def per_site_shift(model: ChainModel) -> float:
     negative constant and the densities are raised by its magnitude.
     """
     shifts = np.asarray(model.shifts)
-    if shifts.max() - shifts.min() > 1e-10:
+    if not shifts.max() - shifts.min() <= 1e-10 * model.energy_scale:
         raise ValueError("shifts are not uniform; chain is not translation invariant")
     return float(-shifts.mean())
 
@@ -114,12 +114,11 @@ def analytic_energies(j: float, n: int, c: float = ASYMPTOTIC_C) -> IsingEnergie
     e_b = (2.0 * j / math.pi) * z / (1.0 + math.sqrt(1.0 + z))
     e_b_asym = (j * math.pi / 64.0 * math.sqrt(math.e) * 2.0**(1.0 / 6.0)
                 * c**-6.0 * float(n)**-4.5)
-    return IsingEnergies(
-        e_a=6.0 * j / math.pi,
-        e_b=e_b,
-        e_b_asymptotic=e_b_asym,
-        e_r=(6.0 / math.pi - 1.0) * j,
-    )
+    out = IsingEnergies(6.0 * j / math.pi, e_b, e_b_asym, (6.0 / math.pi - 1.0) * j)
+    if not all(map(math.isfinite, vars(out).values())):
+        raise ValueError(
+            f"coupling must be finite and positive with finite energies, got J={j}")
+    return out
 
 
 @dataclass(frozen=True)

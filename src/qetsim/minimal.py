@@ -18,11 +18,12 @@ import numpy as np
 from . import core
 from .core import (
     ATOL_CONSTRUCT,
-    InvariantViolation,
     LocalOperator,
     OutcomeRecord,
     PovmMeasurement,
     StateVector,
+    check_at_most,
+    check_close,
 )
 
 _I4 = np.eye(4, dtype=complex)
@@ -41,14 +42,20 @@ class MinimalParams:
     k: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.h, self.k)):
-            raise ValueError(
-                f"h and k must be finite and positive, got h={self.h}, k={self.k}")
+        if not (all(math.isfinite(v) and v > 0 for v in (self.h, self.k))
+                and math.isfinite(self.h * self.h + 2 * self.k * self.k)):
+            raise ValueError(f"h and k must be finite and positive, with finite "
+                             f"h*h/r and 2*k*k/r, got h={self.h}, k={self.k}")
 
     @property
     def energy_scale(self) -> float:
         """sqrt(h^2 + k^2), the recurring normalization."""
         return math.hypot(self.h, self.k)
+
+    @property
+    def coupling_scale(self) -> float:
+        """max(h, k), the declared coupling that tolerances scale with."""
+        return max(self.h, self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,19 +104,14 @@ def build(params: MinimalParams) -> MinimalModel:
     ham = h_a + h_b + v
     ground = closed_form_ground(params)
 
+    scale = params.coupling_scale
     for name, op in (("H_A", h_a), ("H_B", h_b), ("V", v)):
-        val = core.expectation(ground, op)
-        if abs(val) > ATOL_CONSTRUCT:
-            raise InvariantViolation(f"<g|{name}|g> = {val!r}, expected 0")
-    numeric = core.ground_state(ham)
-    if numeric.energy < -1e-10:
-        raise InvariantViolation(f"lowest eigenvalue {numeric.energy!r} below -1e-10")
-    overlap = abs(np.vdot(numeric.state.amplitudes, ground.amplitudes))
-    if abs(overlap - 1.0) > 1e-10:
-        raise InvariantViolation(
-            f"closed-form ground state disagrees with the eigensolver "
-            f"(|overlap| = {overlap!r})"
-        )
+        check_close(f"<g|{name}|g> =", core.expectation(ground, op), 0.0,
+                    ATOL_CONSTRUCT, scale)
+    numeric = core.ground_state(ham, scale)
+    check_at_most("minus the lowest eigenvalue", -numeric.energy, 0.0, 1e-10, scale)
+    check_close("closed-form ground-state overlap",
+                abs(np.vdot(numeric.state.amplitudes, ground.amplitudes)), 1.0, 1e-10)
     return MinimalModel(params, h_a, h_b, v, ham, ground)
 
 
@@ -135,10 +137,8 @@ def optimize(params: MinimalParams) -> tuple[float, float]:
     thetas = np.linspace(0.0, math.pi, 10_000, endpoint=False)
     sweep = (h * k * np.sin(2 * thetas)
              - a * (1 - np.cos(2 * thetas))) / params.energy_scale
-    if sweep.max() > e_b_max + 1e-12:
-        raise InvariantViolation(
-            f"theta sweep found output {sweep.max()!r} above the closed form"
-        )
+    check_at_most("theta sweep maximum", sweep.max(), e_b_max, 1e-12,
+                  params.coupling_scale)
     return theta, e_b_max
 
 
@@ -173,16 +173,12 @@ def run_protocol(params: MinimalParams, theta: float) -> ProtocolResult:
         )
     total_after = float(np.trace(rho @ model.hamiltonian).real)
     e_b = e_a - total_after
-    if abs(e_a - input_energy(params)) > 1e-12:
-        raise InvariantViolation(
-            f"brute-force input energy {e_a!r} deviates from the closed form"
-        )
-    if abs(e_b - output_energy(params, theta)) > 1e-12:
-        raise InvariantViolation(
-            f"brute-force output energy {e_b!r} deviates from the closed form"
-        )
-    if total_after < -1e-12:
-        raise InvariantViolation(f"total energy after protocol is {total_after!r}")
+    scale = params.coupling_scale
+    check_close("brute-force input energy", e_a, input_energy(params), 1e-12, scale)
+    check_close("brute-force output energy", e_b, output_energy(params, theta),
+                1e-12, scale)
+    check_at_most("minus the total energy after the protocol", -total_after, 0.0,
+                  1e-12, scale)
     return ProtocolResult(e_a, e_b, theta, tuple(records), total_after)
 
 
@@ -206,10 +202,7 @@ def local_cooling_deficit(params: MinimalParams, w_b: LocalOperator) -> float:
         omega += np.outer(branch, branch.conj())
     deficit = input_energy(params) - float(np.trace(omega @ model.hamiltonian).real)
     direct = -np.vdot(g, w_full.conj().T @ (model.h_b + model.v) @ (w_full @ g)).real
-    if abs(deficit - direct) > 1e-12:
-        raise InvariantViolation(
-            f"cooling deficit routes disagree: {deficit!r} vs {direct!r}"
-        )
+    check_close("cooling deficit", deficit, direct, 1e-12, params.coupling_scale)
     return deficit
 
 

@@ -1,9 +1,25 @@
+import atexit
+import shutil
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qetsim import chain, ising
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays deterministic.  Hypothesis still caches the
+# constants it reads from local modules; that cache goes to a temporary
+# directory removed at exit, so nothing is written to the tree.
+settings.register_profile("qetsim", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("qetsim")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="qetsim-hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 
 @pytest.fixture(scope="session")

@@ -568,6 +568,25 @@ def test_residual_energy_ordering_fails_on_nan(ising8, monkeypatch):
         chain.residual_energy(ising8, 1, meas, n_starts=2)
 
 
+_X_AT_0 = core.projective_pauli_measurement((1.0, 0, 0), 0)
+_Y_AT_4 = LocalOperator((4,), core.PAULI_Y)
+NAN_ROUTES = {
+    "run_protocol": lambda model: chain.run_protocol(
+        model, ChainProtocolSpec(0, 4, _X_AT_0, _Y_AT_4, 0.1)),
+    "eta_xi": lambda model: chain.eta_xi(
+        model, core.pauli_component((1.0, 0, 0), 0), _Y_AT_4),
+    "energy_distribution": lambda model: chain.energy_distribution(
+        model, 0, _X_AT_0, (4,), thetas=(0.1,)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NAN_ROUTES))
+def test_nan_hamiltonian_fails_every_route(ising8, monkeypatch, route):
+    _nan_hamiltonian(monkeypatch)
+    with pytest.raises(InvariantViolation, match="nan"):
+        NAN_ROUTES[route](ising8)
+
+
 # ---------------------------------------------------- energy distribution
 
 

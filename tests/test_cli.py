@@ -305,6 +305,8 @@ def test_chain_file_overflowing_coefficient_names_line(capsys, tmp_path):
     ("ising", "--J", "0", "--n", "1"),
     ("minimal", "--h", "-1", "--k", "1"),
     ("sweep", "minimal", "--param", "k", "--range=-1:1:3"),
+    ("ising", "--J", "1e308", "--n", "1:3"),
+    ("minimal", "--h", "1", "--k", "1e308"),
 ])
 def test_non_finite_coupling_exit_one(capsys, argv):
     with warnings.catch_warnings():
@@ -313,6 +315,49 @@ def test_non_finite_coupling_exit_one(capsys, argv):
         code, out, err = run_cli(capsys, *argv)
     _assert_one_line_failure(code, out, err)
     assert "finite and positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ising", "--mode", "numeric", "--N", "8", "--J", "1e-9"),
+    ("ising", "--mode", "numeric", "--N", "12", "--J", "1e6"),
+    ("minimal", "--h", "1e4", "--k", "1e4"),
+    ("sweep", "minimal", "--param", "k", "--range", "1e-6:1e6:25", "--log"),
+])
+def test_scaled_couplings_exit_zero(capsys, argv):
+    # tolerances scale with the declared coupling, far from unit coupling too
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("flag", ["--lambda-file", "--p-file"])
+def test_field_overflowing_profile_exit_one(capsys, profile_files, tmp_path,
+                                            flag):
+    huge = tmp_path / "huge.csv"
+    start = 0.0 if flag == "--lambda-file" else 3.0
+    Profile.sin_squared(1e200, start, 1.0).to_csv(huge)
+    files = dict(zip(("--lambda-file", "--p-file"), profile_files))
+    files[flag] = str(huge)
+    with warnings.catch_warnings():
+        # an overflow inside numpy would warn before the error
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "field", *sum(files.items(), ()),
+                                 "--T", "3")
+    _assert_one_line_failure(code, out, err)
+    name = "lambda_A" if flag == "--lambda-file" else "p_B"
+    assert f"profile {name} is out of range" in err
+
+
+def test_sweep_negative_range_start(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "minimal", "--param", "theta",
+                           "--range=-0.5:0.5:3")
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith(("#", "index"))]
+    assert [float(row.split(",")[3]) for row in rows] == [-0.5, 0.0, 0.5]
+    code, out, err = run_cli(capsys, "sweep", "minimal", "--param", "theta",
+                             "--range", "-0.5:0.5:3")
+    _assert_one_line_failure(code, out, err)
+    assert "--range=" in err
 
 
 @pytest.mark.parametrize("h, k", [("1e-300", "1"), ("1e-200", "1"),

@@ -309,3 +309,40 @@ def test_parse_pauli_expression():
         core.parse_pauli_expression("q + z")
     with pytest.raises(ValueError):
         core.parse_pauli_expression("")
+
+
+CHECKS = [core.check_close, core.check_at_most]
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["got", "want"])
+def test_checks_fail_on_non_finite(check, bad, side):
+    got, want = (bad, 1.0) if side == "got" else (1.0, bad)
+    # a huge scale must not let an infinity through
+    with pytest.raises(core.InvariantViolation, match="^energy "):
+        check("energy", got, want, 1e-9, 1e300)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_checks_pass_at_the_scaled_bound(check):
+    # 0.25 * 2.0 is exact, so the deviation equals tol * scale exactly
+    check("energy", 1.5, 1.0, 0.25, 2.0)
+    with pytest.raises(core.InvariantViolation):
+        check("energy", np.nextafter(1.5, 2.0), 1.0, 0.25, 2.0)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_checks_at_scale_zero_demand_exact_equality(check):
+    check("energy", 1.0, 1.0, 1e-9, 0.0)
+    with pytest.raises(core.InvariantViolation):
+        check("energy", np.nextafter(1.0, 2.0), 1.0, 1e-9, 0.0)
+
+
+def test_check_close_is_two_sided_and_reports_plain_floats():
+    core.check_close("energy", np.float64(1.0), 1.0 + 5e-10, 1e-9)
+    with pytest.raises(core.InvariantViolation,
+                       match=r"^energy 0\.5 differs from 1\.0 by more than 0\.1$"):
+        core.check_close("energy", np.float64(0.5), np.float64(1.0), 0.1)
+    # the one-sided twin accepts anything below the bound
+    core.check_at_most("energy", -1e300, 1.0, 0.0)

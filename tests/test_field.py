@@ -1,6 +1,7 @@
 """Field protocol: profiles, quadrature, overlap oracle, output energy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -389,3 +390,16 @@ def test_output_energy_zero_measurement():
     zero = Profile(0.0, spec.lambda_a.dx, np.zeros(257), (0.0, 1.0))
     res = field.output_energy(FieldProtocolSpec(zero, spec.p_b, spec.delay))
     assert res.e_b_max == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("amp_a, amp_b, name", [
+    (1e200, 0.1, "lambda_A"), (0.1, 1e200, "p_B"),
+    # each profile alone stays in range; only their kernel product overflows
+    (1e151, 1e151, "pair lambda_A, p_B"),
+])
+def test_output_energy_names_the_overflowing_profile(amp_a, amp_b, name):
+    spec = FieldProtocolSpec(sin2(amp_a), sin2(amp_b, start=1.1), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^profile {name} is out of range"):
+            field.output_energy(spec)
