@@ -198,8 +198,8 @@ class ChainModel:
 def normalize(model: ChainModel) -> ChainModel:
     """Shift each on-site operator so all densities average to zero.
 
-    The returned model has ground eigenvalue zero within 1e-9 and
-    ``<g|T_n|g> = 0`` within 1e-9 for every site.  Its densities are the
+    The returned model has ground eigenvalue zero and ``<g|T_n|g> = 0`` at
+    every site within 1e-9 times the energy scale; its densities are the
     input's minus ``eps_n`` times the identity on their supports.
     """
     import scipy.sparse as sp
@@ -339,7 +339,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
     Input energy is computed from the local densities around A and checked
     against the global expectation; output energy is computed both from the
     post-operation state and from the B-side density route, which must agree
-    within 1e-10.
+    within 1e-10 times the model's energy scale.
     """
     _check_separation(model, spec.site_a, spec.site_b)
     gs = model.ground
@@ -435,8 +435,8 @@ def eta_xi(model: ChainModel, sigma_a: LocalOperator,
 
     ``eta`` is the ground-state correlation of the measured component at A
     with the velocity of the generator at B, computed both from the local
-    energy around B and from the full Hamiltonian (the two must agree within
-    1e-10); ``xi`` is the positive fluctuation term of the generator at B.
+    energy around B and from the full Hamiltonian (agreeing within 1e-10 times
+    the energy scale); ``xi`` is the generator's positive fluctuation at B.
     """
     for name, op in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
         if not (op.is_hermitian() and op.is_involution()):

@@ -154,7 +154,7 @@ def run_protocol(params: MinimalParams, theta: float) -> ProtocolResult:
     """Measure x on A, rotate B by the announced sign: direct 4x4 execution.
 
     The brute-force energies are checked against the closed forms within
-    1e-12 before returning.
+    1e-12 max(h, k) before returning.
     """
     model = build(params)
     g = model.ground.amplitudes
