@@ -22,7 +22,6 @@ from .core import (
     pauli_component,
     projective_pauli_measurement,
     reduced_density,
-    time_evolve,
     von_neumann_entropy,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "pauli_component",
     "projective_pauli_measurement",
     "reduced_density",
-    "time_evolve",
     "von_neumann_entropy",
     "__version__",
 ]

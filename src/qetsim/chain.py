@@ -240,15 +240,12 @@ class DensityWitness:
     probe_site: int
 
 
-def negative_density_witness(model: ChainModel, n: int,
-                             probe_site: int | None = None,
-                             probe_matrix: np.ndarray | None = None
-                             ) -> DensityWitness:
+def negative_density_witness(model: ChainModel, n: int) -> DensityWitness:
     """Lowest eigenvalue of the density at ``n`` and a state attaining it.
 
-    When the ground state is entangled across the probe (broken two-point
-    factorization) the lowest eigenvalue is strictly negative; for separable
-    ground states a nonnegative value is returned with the flag cleared.
+    When the ground state is entangled across sigma_z two sites away (broken
+    two-point factorization) the lowest eigenvalue is strictly negative; for
+    separable ground states a nonnegative value is returned, flag cleared.
     """
     term = model.terms[n]
     vals, vecs = np.linalg.eigh(term.matrix)
@@ -262,20 +259,17 @@ def negative_density_witness(model: ChainModel, n: int,
     full = full.reshape(-1)
     witness = StateVector(model.n_sites, full / np.linalg.norm(full))
 
-    if probe_site is None:
-        if n + 2 < model.n_sites:
-            probe_site = n + 2
-        elif n - 2 >= 0:
-            probe_site = n - 2
-        else:
-            probe_site = (n + 2) % model.n_sites
+    if n + 2 < model.n_sites:
+        probe_site = n + 2
+    elif n - 2 >= 0:
+        probe_site = n - 2
+    else:
+        probe_site = (n + 2) % model.n_sites
     if model.separation(n, probe_site) <= 1:
         raise ValueError(f"probe site {probe_site} is adjacent to site {n}")
     gs = model.ground
     amp = gs.state.amplitudes
-    probe = LocalOperator(
-        (probe_site,),
-        core.PAULI_Z if probe_matrix is None else probe_matrix)
+    probe = LocalOperator((probe_site,), core.PAULI_Z)
     t_amp = apply_local(term, amp, model.n_sites)
     joint = np.vdot(amp, apply_local(probe, t_amp, model.n_sites))
     t_only = np.vdot(amp, t_amp)
@@ -505,10 +499,12 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def best_teleportable_energy(model: ChainModel, measurement: PovmMeasurement,
-                             sites: tuple[int, ...] | None = None,
-                             n_directions: int = 192) -> tuple[float, int]:
+def best_teleportable_energy(model: ChainModel,
+                             measurement: PovmMeasurement) -> tuple[float, int]:
     """Best closed-form output over extraction sites and generator axes.
+
+    Sites at least 3 from the measurement; the x, y, z axes and 192
+    Fibonacci-sphere directions.
 
     Only valid for binary measurements with labels +1/-1, where the
     involution closed form applies exactly.  Raises
@@ -519,9 +515,8 @@ def best_teleportable_energy(model: ChainModel, measurement: PovmMeasurement,
     if labels != [-1.0, 1.0]:
         raise ValueError("closed-form maximization needs labels -1 and +1")
     d_a = measurement_bias_operator(measurement)
-    if sites is None:
-        sites = tuple(s for s in range(model.n_sites)
-                      if model.separation(s, measurement.site) >= 3)
+    sites = tuple(s for s in range(model.n_sites)
+                  if model.separation(s, measurement.site) >= 3)
     if not sites:
         raise ValueError("no extraction site is far enough from the measurement")
     gs = model.ground
@@ -530,7 +525,7 @@ def best_teleportable_energy(model: ChainModel, measurement: PovmMeasurement,
     h_g = model.apply_hamiltonian(g)
     best = -math.inf
     best_site = sites[0]
-    dirs = np.vstack([np.eye(3), _fibonacci_sphere(n_directions)])
+    dirs = np.vstack([np.eye(3), _fibonacci_sphere(192)])
     paulis = (core.PAULI_X, core.PAULI_Y, core.PAULI_Z)
     for site in sites:
         ops = [LocalOperator((site,), pm) for pm in paulis]
@@ -558,38 +553,6 @@ def best_teleportable_energy(model: ChainModel, measurement: PovmMeasurement,
     return best, best_site
 
 
-def _kraus_pair(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two 2x2 Kraus operators from 16 reals, complete by construction."""
-    raw = params.reshape(8, 2)
-    stacked = raw[0::2] + 1j * raw[1::2]
-    q, _ = np.linalg.qr(stacked)
-    return q[:2, :], q[2:, :]
-
-
-def _cooling_gram(model: ChainModel, site_a: int, psi: np.ndarray) -> np.ndarray:
-    """The 4x4 matrix ``G[(ab),(cd)] = <E_ab psi|H|E_cd psi>``, ``E_cd = |c><d|``.
-
-    For any 2x2 operator ``K`` at ``site_a``,
-    ``<K psi|H|K psi> = vec(K)^H G vec(K)`` with ``vec(K) = K.ravel()``.
-    """
-    part = np.asarray(psi).reshape(2**site_a, 2, -1)
-    moved = np.zeros((4,) + part.shape, dtype=complex)
-    for c in range(2):
-        for d in range(2):
-            moved[2 * c + d, :, c, :] = part[:, d, :]
-    moved = moved.reshape(4, -1)
-    gram = moved.conj() @ model.apply_hamiltonian(moved.T)
-    if not np.isfinite(gram).all():
-        raise InvariantViolation("cooling Gram matrix has non-finite entries")
-    return gram
-
-
-def _cooling_energy(gram: np.ndarray, kraus) -> float:
-    """``sum_k vec(K_k)^H G vec(K_k)`` over the 2x2 operators ``kraus``."""
-    vecs = np.reshape(kraus, (-1, 4))
-    return float(np.einsum("ki,ij,kj->", vecs.conj(), gram, vecs).real)
-
-
 @dataclass(frozen=True, eq=False)
 class ResidualEnergyResult:
     e_r: float
@@ -605,17 +568,14 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
                     seed: int = 7) -> ResidualEnergyResult:
     """Minimal energy left after label-dependent local cooling at A.
 
-    The minimization runs a coarse grid plus derivative-free local descent
-    from seeded starts, independently per measurement label (the objective
-    separates).  Each outcome's objective is a quadratic form in the
-    entries of the cooling operators: with the branch's 4x4 Gram matrix
-    ``G`` (:func:`_cooling_gram`), a unitary ``U`` leaves
-    ``vec(U)^H G vec(U)`` and a Kraus pair ``sum_k vec(K_k)^H G vec(K_k)``,
-    so the search never touches the full state.  The result upper-bounds
-    the true minimum over channels, so the ordering ``E_B <= E_r <= E_A``
-    is certified before returning; a NaN on either side fails it.
+    The objective separates over measurement labels: each outcome's branch
+    gives a 4x4 Gram form (:func:`core.one_site_gram`), searched by
+    :func:`core.minimize_one_site` with ``n_starts`` draws from one
+    generator seeded by ``seed`` and the model's energy scale, so the
+    search never touches the full state.  The result upper-bounds the true
+    minimum over channels, so ``E_B <= E_r <= E_A`` is certified before
+    returning; a NaN on either side fails it.
     """
-    from scipy.optimize import minimize
     if search_space not in ("unitary", "kraus2"):
         raise ValueError(f"unknown search space {search_space!r}")
     if measurement.site != site_a:
@@ -635,48 +595,18 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
         e_a += np.vdot(branch, model.apply_hamiltonian(branch)).real
         if p < core.PROB_FLOOR:
             continue
-        gram = _cooling_gram(model, site_a, branch / math.sqrt(p))
-
-        if search_space == "unitary":
-            def objective(params, gram=gram):
-                return _cooling_energy(gram, core.euler_unitary(params))
-            n_params = 3
-            grid = [np.array([a, b, c])
-                    for a in np.linspace(0, 2 * math.pi, 4, endpoint=False)
-                    for b in np.linspace(0, math.pi, 4)
-                    for c in np.linspace(0, 2 * math.pi, 4, endpoint=False)]
-        else:
-            def objective(params, gram=gram):
-                return _cooling_energy(gram, _kraus_pair(params))
-            n_params = 16
-            ident = np.zeros(16)
-            ident[0] = ident[5] = 1.0  # stacked identity Kraus pair
-            grid = [ident]
-
-        starts = grid + [rng.uniform(0, 2 * math.pi, n_params)
-                         for _ in range(n_starts)]
-        starts.sort(key=objective)
-        best = math.inf
-        best_params = starts[0]
-        for start in starts[:max(4, n_starts // 2)]:
-            res = minimize(objective, start, method="Nelder-Mead",
-                           options={"xatol": 1e-9,
-                                    "fatol": 1e-12 * model.energy_scale,
-                                    "maxiter": 4000})
-            if res.fun < best:
-                best = float(res.fun)
-                best_params = np.asarray(res.x)
-            converged = converged and bool(res.success)
+        gram = core.one_site_gram(model.sparse_hamiltonian, site_a,
+                                  branch / math.sqrt(p))
+        best, best_params, ok = core.minimize_one_site(
+            gram, search_space, n_starts, rng, model.energy_scale)
+        converged = converged and ok
         e_r += p * best
         coolers.append((label, tuple(float(v) for v in best_params)))
 
-    e_b_max = None
-    labels = sorted(measurement.labels)
-    if labels == [-1.0, 1.0]:
-        try:
-            e_b_max, _ = best_teleportable_energy(model, measurement)
-        except ValueError:
-            e_b_max = None
+    try:
+        e_b_max, _ = best_teleportable_energy(model, measurement)
+    except ValueError:  # labels other than -1/+1, or no site far enough
+        e_b_max = None
     check_at_most("residual energy", e_r, e_a, 1e-12, model.energy_scale)
     if e_b_max is not None:
         check_at_most("teleportable energy", e_b_max, e_r, 1e-9,
@@ -696,14 +626,14 @@ class DistributionResult:
 def energy_distribution(model: ChainModel, site_a: int,
                         measurement: PovmMeasurement,
                         sites: tuple[int, ...],
-                        thetas: tuple[float, ...] | str = "auto",
-                        g_ops: tuple[LocalOperator, ...] | None = None
+                        thetas: tuple[float, ...] | str = "auto"
                         ) -> DistributionResult:
     """Simultaneous label-dependent extraction at several sites.
 
-    Every extraction region must be disjoint from the others and from the
-    measured site.  The per-site energies sum to the drop of the total,
-    which can never exceed the input energy.
+    Each site rotates about its sigma_y axis.  Every extraction region must
+    be disjoint from the others and from the measured site.  The per-site
+    energies sum to the drop of the total, which can never exceed the
+    input energy.
     """
     if measurement.site != site_a:
         raise ValueError("measurement must act at site_a")
@@ -722,13 +652,7 @@ def energy_distribution(model: ChainModel, site_a: int,
         if model.separation(s, site_a) < 5:
             warnings.warn(f"extraction site {s} is closer than 5 to the "
                           "measurement", stacklevel=2)
-    if g_ops is None:
-        g_ops = tuple(LocalOperator((s,), core.PAULI_Y) for s in sites)
-    if len(g_ops) != len(sites):
-        raise ValueError("need one generator per extraction site")
-    for s, op in zip(sites, g_ops):
-        if op.support != (s,) or not op.is_hermitian():
-            raise ValueError(f"generator for site {s} must be Hermitian at {s}")
+    g_ops = tuple(LocalOperator((s,), core.PAULI_Y) for s in sites)
 
     if thetas == "auto":
         resolved = []
@@ -771,10 +695,10 @@ def energy_distribution(model: ChainModel, site_a: int,
 
 
 def random_chain_model(n_sites: int, rng: np.random.Generator,
-                       boundary: str = "periodic", n_channels: int = 1,
-                       max_tries: int = 20) -> ChainModel:
-    """Random nondegenerate qubit chain for property tests."""
-    for _ in range(max_tries):
+                       boundary: str = "periodic", n_channels: int = 1
+                       ) -> ChainModel:
+    """Random nondegenerate qubit chain for property tests (20 draws at most)."""
+    for _ in range(20):
         x_ops = []
         for _ in range(n_sites):
             a, b, c = rng.uniform(-1.0, 1.0, size=3)
@@ -816,7 +740,7 @@ def load_chain_model(path) -> ChainModel:
     n_sites = None
     boundary = "open"
     x_default = None
-    x_overrides: dict[int, np.ndarray] = {}
+    x_overrides: dict[int, tuple[int, np.ndarray]] = {}
     bonds: list[tuple[int, np.ndarray, list[float] | float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -833,7 +757,8 @@ def load_chain_model(path) -> ChainModel:
             elif key == "x":
                 x_default = core.parse_pauli_expression(value)
             elif key.startswith("x[") and key.endswith("]"):
-                x_overrides[int(key[2:-1])] = core.parse_pauli_expression(value)
+                x_overrides[int(key[2:-1])] = (
+                    lineno, core.parse_pauli_expression(value))
             elif key == "bond":
                 parts = [p.strip() for p in value.split(";")]
                 if len(parts) != 2:
@@ -851,9 +776,14 @@ def load_chain_model(path) -> ChainModel:
         raise ValueError(f"{path}: missing n_sites")
     if x_default is None and not x_overrides:
         raise ValueError(f"{path}: missing on-site operator 'x'")
+    for site, (lineno, _) in x_overrides.items():
+        if not 0 <= site < n_sites:
+            raise ValueError(f"{path}: line {lineno}: site {site} out of range "
+                             f"for {n_sites} sites")
     if x_default is None:
         x_default = np.zeros((2, 2), dtype=complex)
-    x_ops = tuple(x_overrides.get(s, x_default) for s in range(n_sites))
+    x_ops = tuple(x_overrides[s][1] if s in x_overrides else x_default
+                  for s in range(n_sites))
     n_bonds = n_sites if boundary == "periodic" else n_sites - 1
     channels = []
     for lineno, y, gs in bonds:

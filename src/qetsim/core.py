@@ -64,12 +64,12 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitize(matrix: np.ndarray, atol: float = ATOL_CONSTRUCT) -> np.ndarray:
+def hermitize(matrix: np.ndarray) -> np.ndarray:
     """Symmetrize a nominally Hermitian matrix, rejecting real asymmetry."""
     anti = matrix - matrix.conj().T
-    if np.abs(anti).max() > atol:
+    if np.abs(anti).max() > ATOL_CONSTRUCT:
         raise ValueError(
-            f"matrix is not Hermitian within {atol:g} "
+            f"matrix is not Hermitian within {ATOL_CONSTRUCT:g} "
             f"(antisymmetric part {np.abs(anti).max():.3g})"
         )
     return 0.5 * (matrix + matrix.conj().T)
@@ -122,18 +122,18 @@ class LocalOperator:
     def n_support(self) -> int:
         return len(self.support)
 
-    def is_hermitian(self, atol: float = ATOL_ALGEBRA) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= atol)
+    def is_hermitian(self) -> bool:
+        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= ATOL_ALGEBRA)
 
-    def is_unitary(self, atol: float = ATOL_ALGEBRA) -> bool:
+    def is_unitary(self) -> bool:
         dim = self.matrix.shape[0]
-        return bool(
-            np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max() <= atol
-        )
+        return bool(np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max()
+                    <= ATOL_ALGEBRA)
 
-    def is_involution(self, atol: float = ATOL_ALGEBRA) -> bool:
+    def is_involution(self) -> bool:
         dim = self.matrix.shape[0]
-        return bool(np.abs(self.matrix @ self.matrix - np.eye(dim)).max() <= atol)
+        return bool(np.abs(self.matrix @ self.matrix - np.eye(dim)).max()
+                    <= ATOL_ALGEBRA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,21 +433,6 @@ def apply_measurement(state: StateVector, m: PovmMeasurement) -> MeasurementResu
     return MeasurementResult(tuple(outcomes), tuple(dropped))
 
 
-def time_evolve(state: StateVector, H: np.ndarray, t: float) -> StateVector:
-    """``exp(-i t H)|psi>`` by full spectral decomposition (up to 12 sites)."""
-    H = np.asarray(H)
-    if H.shape[0] > 4096:
-        raise ValueError("dense spectral evolution is limited to 12 sites")
-    if np.abs(H - H.conj().T).max() > ATOL_ALGEBRA:
-        raise ValueError("Hamiltonian is not Hermitian within 1e-10")
-    vals, vecs = np.linalg.eigh(H)
-    phases = np.exp(-1j * vals * t)
-    out = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
-    norm = np.linalg.norm(out)
-    check_close("norm after evolution", norm, 1.0, ATOL_ALGEBRA)
-    return StateVector(state.n_sites, out / norm)
-
-
 def pauli_component(u, site: int) -> LocalOperator:
     """The spin component u . sigma at ``site`` for a unit 3-vector u."""
     u = np.asarray(u, dtype=float)
@@ -482,6 +467,83 @@ def euler_unitary(angles) -> np.ndarray:
     plus, minus = za * zc, za * zc.conjugate()
     return np.array([[plus * cos_b, -minus * sin_b],
                      [minus.conjugate() * sin_b, plus.conjugate() * cos_b]])
+
+
+def kraus_pair(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two 2x2 Kraus operators from 16 reals, complete by construction."""
+    raw = params.reshape(8, 2)
+    stacked = raw[0::2] + 1j * raw[1::2]
+    q, _ = np.linalg.qr(stacked)
+    return q[:2, :], q[2:, :]
+
+
+def one_site_gram(op, site: int, psi: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix ``G[(ab),(cd)] = <E_ab psi|O|E_cd psi>``, ``E_cd = |c><d|``.
+
+    ``op`` is the full-space ``O``, an ndarray or a ``scipy.sparse`` matrix.
+    For any 2x2 operator ``K`` at ``site``, ``<K psi|O|K psi> = vec(K)^H G
+    vec(K)`` with ``vec(K) = K.ravel()``.  A non-finite entry raises.
+    """
+    part = np.asarray(psi).reshape(2**site, 2, -1)
+    moved = np.zeros((4,) + part.shape, dtype=complex)
+    for c in range(2):
+        for d in range(2):
+            moved[2 * c + d, :, c, :] = part[:, d, :]
+    moved = moved.reshape(4, -1)
+    gram = moved.conj() @ (op @ moved.T)
+    if not np.isfinite(gram).all():
+        raise InvariantViolation("cooling Gram matrix has non-finite entries")
+    return gram
+
+
+def one_site_energy(gram: np.ndarray, kraus) -> float:
+    """``sum_k vec(K_k)^H G vec(K_k)`` over the 2x2 operators ``kraus``."""
+    vecs = np.reshape(kraus, (-1, 4))
+    return float(np.einsum("ki,ij,kj->", vecs.conj(), gram, vecs).real)
+
+
+def minimize_one_site(gram: np.ndarray, search_space: str, n_starts: int,
+                      rng: np.random.Generator, scale: float
+                      ) -> tuple[float, np.ndarray, bool]:
+    """(lowest :func:`one_site_energy` of ``gram``, its parameters, converged).
+
+    ``search_space`` is ``"unitary"`` (:func:`euler_unitary` angles) or
+    ``"kraus2"`` (:func:`kraus_pair`).  A grid (64 angle triples, or the
+    identity pair) and ``n_starts`` draws from ``rng`` are ranked;
+    Nelder-Mead runs from the best ``max(4, n_starts // 2)`` with ``fatol``
+    1e-12 times ``scale``, the energy scale of the operator behind ``gram``.
+    """
+    from scipy.optimize import minimize
+    if search_space == "unitary":
+        to_kraus, n_params = euler_unitary, 3
+        grid = [np.array([a, b, c])
+                for a in np.linspace(0, 2 * math.pi, 4, endpoint=False)
+                for b in np.linspace(0, math.pi, 4)
+                for c in np.linspace(0, 2 * math.pi, 4, endpoint=False)]
+    else:
+        to_kraus, n_params = kraus_pair, 16
+        ident = np.zeros(16)
+        ident[0] = ident[5] = 1.0  # stacked identity Kraus pair
+        grid = [ident]
+
+    def objective(params):
+        return one_site_energy(gram, to_kraus(params))
+
+    starts = grid + [rng.uniform(0, 2 * math.pi, n_params)
+                     for _ in range(n_starts)]
+    starts.sort(key=objective)
+    best = math.inf
+    best_params = starts[0]
+    converged = True
+    for start in starts[:max(4, n_starts // 2)]:
+        res = minimize(objective, start, method="Nelder-Mead",
+                       options={"xatol": 1e-9, "fatol": 1e-12 * scale,
+                                "maxiter": 4000})
+        if res.fun < best:
+            best = float(res.fun)
+            best_params = np.asarray(res.x)
+        converged = converged and bool(res.success)
+    return best, best_params, converged
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -394,12 +394,11 @@ def output_energy(spec: FieldProtocolSpec,
     )
 
 
-def overlap_discrepancy(lambda_a: Profile, pad_factor: int = 4096,
-                        n_modes: int = 16384,
-                        omega_max: float | None = None) -> tuple[float, float, float]:
-    """(analytic, oracle, relative gap); warns when the gate fails."""
+def overlap_discrepancy(lambda_a: Profile,
+                        pad_factor: int = 4096) -> tuple[float, float, float]:
+    """(analytic, default oracle, relative gap); warns when the gate fails."""
     analytic = vacuum_overlap(lambda_a, pad_factor)
-    oracle = finite_mode_oracle(lambda_a, n_modes, omega_max)
+    oracle = finite_mode_oracle(lambda_a)
     rel = abs(analytic - oracle.overlap) / oracle.overlap
     if rel > 1e-6:
         warnings.warn(

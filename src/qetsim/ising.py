@@ -105,7 +105,7 @@ class IsingEnergies:
     e_r: float
 
 
-def analytic_energies(j: float, n: int, c: float = ASYMPTOTIC_C) -> IsingEnergies:
+def analytic_energies(j: float, n: int) -> IsingEnergies:
     """Infinite-chain input, output, asymptotic output and residual energy."""
     _check_coupling(j)
     dl = delta_log(n)
@@ -113,7 +113,7 @@ def analytic_energies(j: float, n: int, c: float = ASYMPTOTIC_C) -> IsingEnergie
     z = math.exp(2.0 * dl.log_abs + 2.0 * math.log(math.pi / 2.0))
     e_b = (2.0 * j / math.pi) * z / (1.0 + math.sqrt(1.0 + z))
     e_b_asym = (j * math.pi / 64.0 * math.sqrt(math.e) * 2.0**(1.0 / 6.0)
-                * c**-6.0 * float(n)**-4.5)
+                * ASYMPTOTIC_C**-6.0 * float(n)**-4.5)
     out = IsingEnergies(6.0 * j / math.pi, e_b, e_b_asym, (6.0 / math.pi - 1.0) * j)
     if not all(map(math.isfinite, vars(out).values())):
         raise ValueError(
@@ -190,22 +190,21 @@ class CrossCheckReport:
 
 def numeric_cross_check(j: float, n_sites: int,
                         directions=DEFAULT_DIRECTIONS,
-                        site_a: int = 0, site_b: int | None = None,
                         model: ChainModel | None = None) -> CrossCheckReport:
     """Exact-diagonalization protocol runs against the infinite-chain values.
 
-    One row per measured spin component: numeric input energy, the output
-    coefficients, and the brute-force protocol output at the optimal angle.
-    Finite-size numbers are reported next to the analytic references; any
-    quantitative gap is recorded in the note instead of being asserted away.
-    A prebuilt normalized model may be passed to reuse its spectral data.
+    A is site 0 and B site ``n_sites // 2``.  One row per measured spin
+    component: numeric input energy, the output coefficients, and the
+    brute-force protocol output at the optimal angle.  Finite-size numbers
+    are reported next to the analytic references; any quantitative gap is
+    recorded in the note instead of being asserted away.  A prebuilt
+    normalized model may be passed to reuse its spectral data.
     """
     if model is None:
         model = build(IsingParams(j, n_sites))
     elif model.n_sites != n_sites:
         raise ValueError("prebuilt model size does not match n_sites")
-    if site_b is None:
-        site_b = (site_a + n_sites // 2) % n_sites
+    site_a, site_b = 0, n_sites // 2
     sep = model.separation(site_a, site_b)
     g_b = core.LocalOperator((site_b,), core.PAULI_Y)
     rows = []

@@ -215,13 +215,17 @@ def hb_evolution(params: MinimalParams, t: float) -> float:
 def evolved_local_energies(params: MinimalParams, t: float) -> tuple[float, float]:
     """(<H_B(t)>, <V(t)>) by spectral evolution of the measured branches."""
     model = build(params)
+    vals, vecs = np.linalg.eigh(model.hamiltonian)
+    phases = np.exp(-1j * vals * t)
     hb = 0.0
     vv = 0.0
     for alpha in (1.0, -1.0):
         branch = _projector(alpha) @ model.ground.amplitudes
         p = float(np.vdot(branch, branch).real)
-        state = core.time_evolve(StateVector(2, branch / math.sqrt(p)),
-                                 model.hamiltonian, t)
+        out = vecs @ (phases * (vecs.conj().T @ (branch / math.sqrt(p))))
+        norm = np.linalg.norm(out)
+        check_close("norm after evolution", norm, 1.0, core.ATOL_ALGEBRA)
+        state = StateVector(2, out / norm)
         hb += p * core.expectation(state, model.h_b)
         vv += p * core.expectation(state, model.v)
     return hb, vv
@@ -240,37 +244,21 @@ def _min_rotation_family(branch: np.ndarray, op: np.ndarray) -> float:
     return mean - amp
 
 
-def _min_general_unitary(branch: np.ndarray, op: np.ndarray,
-                         n_starts: int = 8) -> float:
-    from scipy.optimize import minimize
-    rng = np.random.default_rng(20_260_810)
-    best = math.inf
-    for _ in range(n_starts):
-        start = rng.uniform(0.0, 2 * math.pi, size=3)
-        res = minimize(
-            lambda p: float(np.vdot(
-                w := np.kron(np.eye(2), core.euler_unitary(p)) @ branch,
-                op @ w).real),
-            start, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000},
-        )
-        best = min(best, float(res.fun))
-    return best
-
-
 def max_teleported_energy(params: MinimalParams, m: PovmMeasurement,
                           unitary_family: str = "rotation") -> float:
     """Best average output over outcome-dependent local unitaries on B.
 
     ``"rotation"`` restricts B to y-axis rotations with a free angle per
-    outcome (closed-form optimum); ``"general"`` searches all of SU(2) by
-    derivative-free local descent from 8 seeded starts.
+    outcome (closed-form optimum); ``"general"`` searches all of SU(2) on
+    each outcome's Gram form (:func:`core.minimize_one_site`, 8 seeded
+    random starts, tolerances scaled by max(h, k)).
     """
     if unitary_family not in ("rotation", "general"):
         raise ValueError(f"unknown unitary family {unitary_family!r}")
     model = build(params)
     g = model.ground.amplitudes
     op = model.h_b + model.v
+    rng = np.random.default_rng(20_260_810)
     total = 0.0
     for _, mop in m.operators:
         branch = np.kron(mop.matrix, np.eye(2)) @ g
@@ -281,7 +269,9 @@ def max_teleported_energy(params: MinimalParams, m: PovmMeasurement,
         if unitary_family == "rotation":
             low = _min_rotation_family(branch, op)
         else:
-            low = _min_general_unitary(branch, op)
+            low, _, _ = core.minimize_one_site(
+                core.one_site_gram(op, 1, branch), "unitary", 8, rng,
+                params.coupling_scale)
         total += -p * low
     return total
 

@@ -2,7 +2,8 @@
 
 Each check returns a pass flag plus a short deterministic detail string
 (no timings, no addresses), so repeated runs with the same seed produce
-byte-identical reports.
+byte-identical reports.  Running worsts use numpy's max and min, which keep
+a NaN that the builtins would skip after a number, so a NaN fails its check.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def suite_core(seed: int) -> list[CheckResult]:
         q, _ = np.linalg.qr(z)
         total = sum(q[2 * i:2 * i + 2, :].conj().T @ q[2 * i:2 * i + 2, :]
                     for i in range(n_out))
-        worst = max(worst, float(np.abs(total - np.eye(2)).max()))
+        worst = np.max([worst, float(np.abs(total - np.eye(2)).max())])
     _check(out, "core", "povm-completeness", worst < 1e-10, f"max dev {worst:.3e}")
 
     z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
@@ -52,7 +53,7 @@ def suite_core(seed: int) -> list[CheckResult]:
     for _ in range(100):
         state = core.random_state(3, rng)
         res = core.apply_measurement(state, meas)
-        worst = max(worst, abs(sum(o.probability for o in res.outcomes) - 1.0))
+        worst = np.max([worst, abs(sum(o.probability for o in res.outcomes) - 1.0)])
     _check(out, "core", "probability-conservation", worst < 1e-10,
            f"max |sum p - 1| {worst:.3e}")
 
@@ -62,7 +63,7 @@ def suite_core(seed: int) -> list[CheckResult]:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         ea = core.embed_local(LocalOperator((0,), a), 3)
         eb = core.embed_local(LocalOperator((2,), b), 3)
-        worst = max(worst, float(np.abs(ea @ eb - eb @ ea).max()))
+        worst = np.max([worst, float(np.abs(ea @ eb - eb @ ea).max())])
     _check(out, "core", "locality-commutators", worst < 1e-12, f"max {worst:.3e}")
 
     h = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -92,10 +93,10 @@ def suite_minimal(seed: int) -> list[CheckResult]:
         params = minimal.MinimalParams(float(h), float(k))
         theta, e_b_max = minimal.optimize(params)
         run = minimal.run_protocol(params, theta)
-        worst_a = max(worst_a, abs(run.e_a - minimal.input_energy(params)))
-        worst_b = max(worst_b, abs(run.e_b - e_b_max))
-        worst_id = max(worst_id,
-                       abs(minimal.output_energy(params, theta) - e_b_max))
+        worst_a = np.max([worst_a, abs(run.e_a - minimal.input_energy(params))])
+        worst_b = np.max([worst_b, abs(run.e_b - e_b_max)])
+        worst_id = np.max([worst_id,
+                           abs(minimal.output_energy(params, theta) - e_b_max)])
         order_ok = order_ok and 0 <= e_b_max < minimal.input_energy(params)
     _check(out, "minimal", "closed-form-equivalence",
            worst_a < 1e-11 and worst_b < 1e-11,
@@ -108,7 +109,7 @@ def suite_minimal(seed: int) -> list[CheckResult]:
     worst = -math.inf
     for _ in range(200):
         w = LocalOperator((1,), core.haar_unitary(2, rng))
-        worst = max(worst, minimal.local_cooling_deficit(params, w))
+        worst = np.max([worst, minimal.local_cooling_deficit(params, w)])
     _check(out, "minimal", "no-local-extraction", worst <= 1e-12,
            f"max deficit {worst:.3e}")
 
@@ -118,7 +119,7 @@ def suite_minimal(seed: int) -> list[CheckResult]:
         p = minimal.MinimalParams(float(h), float(k))
         for t in np.linspace(0.0, math.pi / p.k, 20):
             hb, v = minimal.evolved_local_energies(p, float(t))
-            worst = max(worst, abs(hb - minimal.hb_evolution(p, float(t))), abs(v))
+            worst = np.max([worst, abs(hb - minimal.hb_evolution(p, float(t))), abs(v)])
     _check(out, "minimal", "time-evolution", worst < 1e-9, f"max dev {worst:.3e}")
 
     model = minimal.build(params)
@@ -128,7 +129,7 @@ def suite_minimal(seed: int) -> list[CheckResult]:
         u = core.haar_unitary(2, rng)
         full = np.kron(u, np.eye(2)) if site == 0 else np.kron(np.eye(2), u)
         vec = full @ model.ground.amplitudes
-        worst = min(worst, float(np.vdot(vec, model.hamiltonian @ vec).real))
+        worst = np.min([worst, float(np.vdot(vec, model.hamiltonian @ vec).real)])
     _check(out, "minimal", "passivity", worst >= -1e-12, f"min energy {worst:.3e}")
 
     bound = minimal.entanglement_bound(params, minimal.sigma_x_measurement())
@@ -158,7 +159,7 @@ def _suite_chain_inner(seed: int) -> list[CheckResult]:
 
     model = ising.build(ising.IsingParams(1.0, 8))
     amp = model.ground.state.amplitudes
-    worst = max(abs(model.term_expectation(n, amp)) for n in range(8))
+    worst = np.max([abs(model.term_expectation(n, amp)) for n in range(8)])
     _check(out, "chain", "normalization", worst < 1e-9 and
            abs(model.ground.energy) < 1e-9,
            f"max density {worst:.3e} ground {model.ground.energy:.3e}")
@@ -171,7 +172,7 @@ def _suite_chain_inner(seed: int) -> list[CheckResult]:
     worst = 0.0
     for theta in (0.0, theta_opt, 0.01, -0.01):
         run = chain.run_protocol(model, ChainProtocolSpec(1, 5, meas, g_b, theta))
-        worst = max(worst, abs(run.e_b - chain.qubit_closed_form(eta, xi, theta)))
+        worst = np.max([worst, abs(run.e_b - chain.qubit_closed_form(eta, xi, theta))])
     _check(out, "chain", "route-equivalence", worst < 1e-10,
            f"max dev {worst:.3e}")
 
@@ -211,7 +212,7 @@ def _suite_chain_inner(seed: int) -> list[CheckResult]:
         site = int(rng.integers(0, 8))
         u = LocalOperator((site,), core.haar_unitary(2, rng))
         vec = core.apply_local(u, amp, 8)
-        worst = min(worst, float(np.vdot(vec, model.apply_hamiltonian(vec)).real))
+        worst = np.min([worst, float(np.vdot(vec, model.apply_hamiltonian(vec)).real)])
     _check(out, "chain", "passivity", worst >= -1e-12, f"min {worst:.3e}")
     return out
 
@@ -269,8 +270,8 @@ def suite_field(seed: int) -> list[CheckResult]:
     for prof in profiles:
         analytic = field.vacuum_overlap(prof)
         oracle = field.finite_mode_oracle(prof)
-        worst = max(worst, abs(analytic - oracle.overlap) / oracle.overlap)
-        prob_dev = max(prob_dev, abs(oracle.prob_plus - 0.5))
+        worst = np.max([worst, abs(analytic - oracle.overlap) / oracle.overlap])
+        prob_dev = np.max([prob_dev, abs(oracle.prob_plus - 0.5)])
     _check(out, "field", "overlap-oracle-agreement", worst < 1e-6,
            f"max rel {worst:.3e}")
     _check(out, "field", "outcome-probability-half", prob_dev < 1e-8,

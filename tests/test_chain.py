@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qetsim import chain, core, ising
+from qetsim import chain, core, ising, minimal
 from qetsim.chain import Channel, ChainModel, ChainProtocolSpec
 from qetsim.core import InvariantViolation, LocalOperator
 
@@ -509,43 +509,55 @@ def test_residual_energy_trend_toward_infinite_chain(ising8, ising12):
           "scheme; trend only)")
 
 
-def _direct_cooling_energy(model, site_a, psi, kraus):
-    """Reference objective: ``sum_k <K_k psi|H|K_k psi>`` on the full state."""
+def _direct_cooling_energy(op, n_sites, site, psi, kraus):
+    """Reference objective: ``sum_k <K_k psi|O|K_k psi>`` on the full state."""
     val = 0.0
     for kmat in kraus:
-        w = core.apply_local(LocalOperator((site_a,), kmat), psi, model.n_sites)
-        val += np.vdot(w, model.apply_hamiltonian(w)).real
+        w = core.apply_local(LocalOperator((site,), kmat), psi, n_sites)
+        val += np.vdot(w, op @ w).real
     return val
 
 
 @pytest.mark.parametrize("search_space", ["unitary", "kraus2"])
-@pytest.mark.parametrize("case", ["ising8", "complex6"])
+@pytest.mark.parametrize("case", ["ising8", "complex6", "minimal"])
 def test_cooling_gram_matches_direct_energy(case, search_space, request):
-    if case == "ising8":
-        model, sites = request.getfixturevalue("ising8"), (1, 4)
+    if case == "minimal":
+        # the two-qubit "general" family: H_B + V after a measurement at A,
+        # searched at B
+        model = minimal.build(minimal.MinimalParams(1.0, 1.0))
+        op, n_sites = model.h_b + model.v, 2
+        meas = minimal.random_commuting_povm(np.random.default_rng(5), 3)
+        branches = [(1, core.apply_local(mop, model.ground.amplitudes, 2))
+                    for _, mop in meas.operators]
     else:
-        model = chain.random_chain_model(6, np.random.default_rng(31),
-                                         boundary="open")
-        assert np.iscomplexobj(model.sparse_hamiltonian.data)
-        sites = (0, 3, 5)
-    rng = np.random.default_rng(13)
-    for site_a in sites:
-        meas = core.projective_pauli_measurement((0.6, 0.0, 0.8), site_a)
+        if case == "ising8":
+            model, sites = request.getfixturevalue("ising8"), (1, 4)
+        else:
+            model = chain.random_chain_model(6, np.random.default_rng(31),
+                                             boundary="open")
+            assert np.iscomplexobj(model.sparse_hamiltonian.data)
+            sites = (0, 3, 5)
+        op, n_sites = model.sparse_hamiltonian, model.n_sites
         g = model.ground.state.amplitudes
-        for _, mop in meas.operators:
-            branch = core.apply_local(mop, g, model.n_sites)
-            psi = branch / np.linalg.norm(branch)
-            gram = chain._cooling_gram(model, site_a, psi)
-            got, want = [], []
-            for _ in range(50):
-                if search_space == "unitary":
-                    kraus = (core.euler_unitary(rng.uniform(0, 2 * math.pi, 3)),)
-                else:
-                    kraus = chain._kraus_pair(rng.uniform(0, 2 * math.pi, 16))
-                got.append(chain._cooling_energy(gram, kraus))
-                want.append(_direct_cooling_energy(model, site_a, psi, kraus))
-            got, want = np.array(got), np.array(want)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        branches = [
+            (site, core.apply_local(mop, g, n_sites))
+            for site in sites
+            for _, mop in core.projective_pauli_measurement(
+                (0.6, 0.0, 0.8), site).operators]
+    rng = np.random.default_rng(13)
+    for site, branch in branches:
+        psi = branch / np.linalg.norm(branch)
+        gram = core.one_site_gram(op, site, psi)
+        got, want = [], []
+        for _ in range(50):
+            if search_space == "unitary":
+                kraus = (core.euler_unitary(rng.uniform(0, 2 * math.pi, 3)),)
+            else:
+                kraus = core.kraus_pair(rng.uniform(0, 2 * math.pi, 16))
+            got.append(core.one_site_energy(gram, kraus))
+            want.append(_direct_cooling_energy(op, n_sites, site, psi, kraus))
+        got, want = np.array(got), np.array(want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _nan_hamiltonian(monkeypatch):
@@ -885,3 +897,7 @@ def test_chain_file_errors_carry_line_numbers(tmp_path):
     path.write_text("boundary = open\nx = z\n")
     with pytest.raises(ValueError, match="n_sites"):
         chain.load_chain_model(path)
+    for site in (6, -1):
+        path.write_text(f"n_sites = 6\nx = -1*z\nx[{site}] = z\nbond = x ; -1\n")
+        with pytest.raises(ValueError, match=f"line 3: site {site} out of range"):
+            chain.load_chain_model(path)

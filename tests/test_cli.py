@@ -129,6 +129,17 @@ def test_chain_parse_error_exit_one(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_chain_out_of_range_override_exit_one(capsys, tmp_path):
+    bad = tmp_path / "bad.chain"
+    bad.write_text("n_sites = 6\nx = -1*z\nbond = x ; -1.0\nx[6] = z\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(bad),
+                             "--site-a", "0", "--site-b", "3")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "line 4: site 6 out of range" in err
+
+
 def test_ising_numeric_size_cap(capsys):
     code, out, err = run_cli(capsys, "ising", "--mode", "numeric", "--N", "17")
     assert code == 1
@@ -492,3 +503,17 @@ def test_verify_core_deterministic_and_green(capsys):
     assert code == 0
     assert out1 == out2
     assert "FAIL" not in out1
+
+
+@pytest.mark.parametrize("suite, name, fake, line", [
+    ("minimal", "local_cooling_deficit", lambda params, w: math.nan,
+     "FAIL minimal.no-local-extraction (max deficit nan)"),
+    ("core", "embed_local", lambda op, n: np.full((2**n, 2**n), np.nan),
+     "FAIL core.locality-commutators (max nan)"),
+], ids=["minimal", "core"])
+def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake, line):
+    # the patched function lives in the module named like the suite
+    monkeypatch.setattr(getattr(qetsim, suite), name, fake)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 2
+    assert line in out.splitlines()

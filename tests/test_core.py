@@ -241,19 +241,6 @@ def test_spectral_sanity_ground_below_random_states():
         assert core.expectation(psi, h) >= gs.energy - 1e-10
 
 
-def test_time_evolve_identity_at_zero():
-    state = core.random_state(2, np.random.default_rng(41))
-    h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
-    out = core.time_evolve(state, h, 0.0)
-    assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
-
-
-def test_time_evolve_larmor_half_period():
-    plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
-    out = core.time_evolve(plus, np.asarray(core.PAULI_Z), math.pi / 2)
-    assert core.expectation(out, core.PAULI_X) == pytest.approx(-1.0, abs=1e-12)
-
-
 def test_pauli_component_axes_and_involution():
     assert np.allclose(core.pauli_component((0, 0, 1.0), 0).matrix, core.PAULI_Z)
     assert np.allclose(core.pauli_component((1.0, 0, 0), 0).matrix, core.PAULI_X)

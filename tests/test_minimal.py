@@ -281,6 +281,26 @@ def test_general_unitary_family_matches_rotation_at_projective_point():
     assert gen == pytest.approx(rot, abs=1e-7)
 
 
+def test_general_family_converges_at_large_coupling(monkeypatch):
+    # Nelder-Mead's fatol scales with max(h, k); an absolute one sends many
+    # descents to maxiter once the energies are of order 1e9.
+    import scipy.optimize
+    meas = minimal.random_commuting_povm(np.random.default_rng(3), 3)
+    unit = minimal.max_teleported_energy(MinimalParams(1.0, 0.7), meas, "general")
+    results = []
+    real_minimize = scipy.optimize.minimize
+
+    def recording(*args, **kwargs):
+        results.append(real_minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    c = 1e9
+    big = minimal.max_teleported_energy(MinimalParams(c, 0.7 * c), meas, "general")
+    assert results and all(res.success for res in results)
+    assert abs(big - c * unit) <= 1e-9 * c
+
+
 def test_general_family_bound_still_holds():
     rng = np.random.default_rng(139)
     for _ in range(5):
