@@ -6,6 +6,11 @@ per-site constant shifts.  The energy density at site ``n`` is the on-site
 piece plus half of each adjacent bond, so the densities sum to the full
 Hamiltonian.  After :func:`normalize` every density has zero ground-state
 expectation and the Hamiltonian is nonnegative with ground eigenvalue zero.
+
+The local route of the dual-route energy accounting runs through two
+primitives: :meth:`ChainModel.site_energies`, the density profile of a set
+of vectors, and :meth:`ChainModel.local_energy`, the local energy around a
+site applied to a vector.  The global route runs through the Hamiltonian.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ class Channel:
     couplings: tuple[float, ...]
 
 
+def bond_count(n_sites: int, boundary: str) -> int:
+    """Bonds of an open or periodic chain of ``n_sites`` sites."""
+    return n_sites if boundary == "periodic" else n_sites - 1
+
+
 @dataclass(frozen=True, eq=False)
 class ChainModel:
     n_sites: int
@@ -76,7 +86,7 @@ class ChainModel:
 
     @property
     def n_bonds(self) -> int:
-        return self.n_sites if self.boundary == "periodic" else self.n_sites - 1
+        return bond_count(self.n_sites, self.boundary)
 
     def bond_sites(self, bond: int) -> tuple[int, int]:
         return bond, (bond + 1) % self.n_sites
@@ -189,10 +199,20 @@ class ChainModel:
     def ground(self) -> GroundState:
         return core.ground_state(self.sparse_hamiltonian, self.energy_scale)
 
-    def term_expectation(self, n: int, amplitudes: np.ndarray) -> float:
-        val = np.vdot(amplitudes,
-                      apply_local(self.terms[n], amplitudes, self.n_sites))
-        return float(val.real)
+    def site_energies(self, vectors: list[np.ndarray]) -> np.ndarray:
+        """The density profile ``sum_v <v|T_m|v>`` (real part) at every site
+        m, the vectors summed in the order given."""
+        out = np.zeros(self.n_sites)
+        for vec in vectors:
+            for m, term in enumerate(self.terms):
+                out[m] += np.vdot(vec, apply_local(term, vec, self.n_sites)).real
+        return out
+
+    def local_energy(self, site: int, vec: np.ndarray) -> np.ndarray:
+        """``H_site vec`` for the local energy ``H_site``, the sum of the
+        densities of :meth:`region`, applied one by one in region order."""
+        return sum(apply_local(self.terms[m], vec, self.n_sites)
+                   for m in self.region(site))
 
 
 def normalize(model: ChainModel) -> ChainModel:
@@ -209,7 +229,7 @@ def normalize(model: ChainModel) -> ChainModel:
             f"degenerate ground state (gap {gs.gap:.3g}); normalization undefined"
         )
     amp = gs.state.amplitudes
-    eps = [model.term_expectation(n, amp) for n in range(model.n_sites)]
+    eps = model.site_energies([amp])
     shifted = replace(
         model, shifts=tuple(s + e for s, e in zip(model.shifts, eps))
     )
@@ -224,9 +244,9 @@ def normalize(model: ChainModel) -> ChainModel:
     shifted.__dict__["terms"] = tuple(
         LocalOperator(op.support, op.matrix - e * np.eye(op.matrix.shape[0]))
         for op, e in zip(model.terms, eps))
-    for n in range(shifted.n_sites):
+    for n, val in enumerate(shifted.site_energies([amp])):
         check_close(f"shifted density at site {n}",
-                    shifted.term_expectation(n, amp), 0.0, 1e-9, model.energy_scale)
+                    val, 0.0, 1e-9, model.energy_scale)
     check_close("ground eigenvalue after normalization", shifted.ground.energy,
                 0.0, 1e-9, model.energy_scale)
     return shifted
@@ -259,16 +279,12 @@ def negative_density_witness(model: ChainModel, n: int) -> DensityWitness:
     full = full.reshape(-1)
     witness = StateVector(model.n_sites, full / np.linalg.norm(full))
 
-    if n + 2 < model.n_sites:
-        probe_site = n + 2
-    elif n - 2 >= 0:
-        probe_site = n - 2
-    else:
-        probe_site = (n + 2) % model.n_sites
-    if model.separation(n, probe_site) <= 1:
-        raise ValueError(f"probe site {probe_site} is adjacent to site {n}")
-    gs = model.ground
-    amp = gs.state.amplitudes
+    probe_site = next((p for p in (n + 2, n - 2) if 0 <= p < model.n_sites
+                       and model.separation(n, p) >= 2), None)
+    if probe_site is None:
+        raise ValueError(f"site {n} has no probe site two or more sites away "
+                         f"on a {model.n_sites}-site chain")
+    amp = model.ground.state.amplitudes
     probe = LocalOperator((probe_site,), core.PAULI_Z)
     t_amp = apply_local(term, amp, model.n_sites)
     joint = np.vdot(amp, apply_local(probe, t_amp, model.n_sites))
@@ -341,10 +357,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
         raise InvariantViolation("degenerate ground state; protocol undefined")
     g = gs.state.amplitudes
     n = model.n_sites
-    region_a = model.region(spec.site_a)
-    region_b = model.region(spec.site_b)
 
-    e_a_local = 0.0
     e_a_global = 0.0
     records = []
     branches = []
@@ -355,8 +368,6 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
         p = float(np.vdot(branch, branch).real)
         branches.append(branch)
         e_a_global += np.vdot(branch, model.apply_hamiltonian(branch)).real
-        for m in region_a:
-            e_a_local += model.term_expectation(m, branch)
         u = LocalOperator((spec.site_b,), _bounded_unitary(spec.g_b, label * spec.theta))
         unitaries.append(u)
         rotated = apply_local(u, branch, n)
@@ -368,22 +379,19 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
                 StateVector(n, rotated / math.sqrt(p)),
             ))
     scale = model.energy_scale
-    check_close("input energy around A", e_a_local, e_a_global, 1e-10, scale)
-    e_a = e_a_local
+    measured = model.site_energies(branches)
+    e_a = sum(measured[m] for m in model.region(spec.site_a))
+    check_close("input energy around A", e_a, e_a_global, 1e-10, scale)
 
     # densities away from A must stay exactly at zero after the measurement
-    for m in range(model.n_sites):
+    for m, val in enumerate(measured):
         if model.separation(m, spec.site_a) >= 2:
-            val = sum(model.term_expectation(m, branch) for branch in branches)
             check_close(f"measured density at site {m}", val, 0.0, 1e-10, scale)
 
-    total_after = 0.0
-    site_energies = np.zeros(model.n_sites)
-    for rotated in rotated_branches:
-        total_after += np.vdot(rotated, model.apply_hamiltonian(rotated)).real
-        for m in range(model.n_sites):
-            site_energies[m] += model.term_expectation(m, rotated)
-    local_b = float(sum(site_energies[m] for m in region_b))
+    total_after = sum(np.vdot(r, model.apply_hamiltonian(r)).real
+                      for r in rotated_branches)
+    site_energies = model.site_energies(rotated_branches)
+    local_b = float(sum(site_energies[m] for m in model.region(spec.site_b)))
     e_b_state_route = e_a - total_after
 
     # independent route through the measurement elements
@@ -391,10 +399,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
     for (_, mop), u in zip(spec.measurement.operators, unitaries):
         pi_op = LocalOperator((spec.site_a,),
                               mop.matrix.conj().T @ mop.matrix)
-        w = apply_local(u, g, n)
-        hw = np.zeros_like(w)
-        for m in region_b:
-            hw += apply_local(model.terms[m], w, n)
+        hw = model.local_energy(spec.site_b, apply_local(u, g, n))
         hw = apply_local(LocalOperator((spec.site_b,), u.matrix.conj().T), hw, n)
         e_b_density_route -= np.vdot(apply_local(pi_op, g, n), hw).real
     check_close("output energy by the state route", e_b_state_route,
@@ -405,22 +410,6 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
         float(e_a), float(e_b), spec.theta, tuple(records),
         tuple(float(v) for v in site_energies), local_b,
     )
-
-
-def _local_energy_operator(model: ChainModel, site: int) -> LocalOperator:
-    """Sum of the densities around ``site`` as one local operator."""
-    sites = set()
-    for m in model.region(site):
-        sites.update(model.terms[m].support)
-    union = tuple(sorted(sites))
-    pos = {s: i for i, s in enumerate(union)}
-    k = len(union)
-    mat = np.zeros((2**k, 2**k), dtype=complex)
-    for m in model.region(site):
-        op = model.terms[m]
-        inner = LocalOperator(tuple(pos[s] for s in op.support), op.matrix)
-        mat += core.embed_local(inner, k)
-    return LocalOperator(union, hermitize(mat))
 
 
 def eta_xi(model: ChainModel, sigma_a: LocalOperator,
@@ -443,29 +432,23 @@ def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
     site_a = d_a.support[0]
     site_b = g_b.support[0]
     _check_separation(model, site_a, site_b)
-    gs = model.ground
-    g = gs.state.amplitudes
+    g = model.ground.state.amplitudes
     n = model.n_sites
 
-    h_b_loc = _local_energy_operator(model, site_b)
-    pos = {s: i for i, s in enumerate(h_b_loc.support)}
-    g_inner = core.embed_local(
-        LocalOperator((pos[site_b],), g_b.matrix), h_b_loc.n_support)
-    comm = 1j * (h_b_loc.matrix @ g_inner - g_inner @ h_b_loc.matrix)
-    gdot_local = LocalOperator(h_b_loc.support, comm)
-    w = apply_local(gdot_local, g, n)
+    # the velocity i[H_B, G] applied to g, by the local energy and by H
+    gg = apply_local(g_b, g, n)
+    w = 1j * (model.local_energy(site_b, gg)
+              - apply_local(g_b, model.local_energy(site_b, g), n))
     eta_local = np.vdot(g, apply_local(d_a, w, n))
 
-    w2 = apply_local(g_b, g, n)
-    w2 = 1j * (model.apply_hamiltonian(w2)
-               - apply_local(g_b, model.apply_hamiltonian(g), n))
+    h_gg = model.apply_hamiltonian(gg)
+    w2 = 1j * (h_gg - apply_local(g_b, model.apply_hamiltonian(g), n))
     eta_full = np.vdot(g, apply_local(d_a, w2, n))
     scale = model.energy_scale
     check_close("eta by the local route", eta_local, eta_full, 1e-10, scale)
     check_close("eta", eta_local, eta_local.real, 1e-10, scale)
 
-    w3 = apply_local(g_b, g, n)
-    xi_val = np.vdot(w3, model.apply_hamiltonian(w3))
+    xi_val = np.vdot(gg, h_gg)
     check_close("xi", xi_val, xi_val.real, 1e-10, scale)
     return float(eta_local.real), float(xi_val.real)
 
@@ -640,18 +623,11 @@ def energy_distribution(model: ChainModel, site_a: int,
     sites = tuple(sites)
     if len(set(sites)) != len(sites):
         raise ValueError("extraction sites must be distinct")
-    for s in sites + (site_a,):
-        if not 0 <= s < model.n_sites:
-            raise ValueError(f"site {s} out of range for {model.n_sites} sites")
     for i, s in enumerate(sites):
-        if model.separation(s, site_a) < 3:
-            raise ValueError(f"site {s} overlaps the measured region")
+        _check_separation(model, site_a, s)
         for t in sites[i + 1:]:
             if model.separation(s, t) < 3:
                 raise ValueError(f"extraction regions at {s} and {t} overlap")
-        if model.separation(s, site_a) < 5:
-            warnings.warn(f"extraction site {s} is closer than 5 to the "
-                          "measurement", stacklevel=2)
     g_ops = tuple(LocalOperator((s,), core.PAULI_Y) for s in sites)
 
     if thetas == "auto":
@@ -668,13 +644,13 @@ def energy_distribution(model: ChainModel, site_a: int,
         if len(thetas) != len(sites):
             raise ValueError("need one angle per extraction site")
 
-    gs = model.ground
-    g = gs.state.amplitudes
+    g = model.ground.state.amplitudes
     n = model.n_sites
     e_a = 0.0
     site_energy = {s: 0.0 for s in sites}
     residual_total = 0.0
     for label, mop in measurement.operators:
+        # apply_local rejects a measured site out of range, also with no sites
         branch = apply_local(mop, g, n)
         e_a += np.vdot(branch, model.apply_hamiltonian(branch)).real
         w = branch
@@ -683,8 +659,7 @@ def energy_distribution(model: ChainModel, site_a: int,
             w = apply_local(u, w, n)
         residual_total += np.vdot(w, model.apply_hamiltonian(w)).real
         for s in sites:
-            for m in model.region(s):
-                site_energy[s] += model.term_expectation(m, w)
+            site_energy[s] += np.vdot(w, model.local_energy(s, w)).real
     entries = tuple((s, float(t), -site_energy[s])
                     for s, t in zip(sites, thetas))
     total = float(sum(e for _, _, e in entries))
@@ -708,7 +683,7 @@ def random_chain_model(n_sites: int, rng: np.random.Generator,
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             y = u[0] * core.PAULI_X + u[1] * core.PAULI_Y + u[2] * core.PAULI_Z
-            n_bonds = n_sites if boundary == "periodic" else n_sites - 1
+            n_bonds = bond_count(n_sites, boundary)
             couplings = rng.uniform(0.3, 1.0, size=n_bonds) * rng.choice([-1.0, 1.0],
                                                                          size=n_bonds)
             channels.append(Channel(tuple(y for _ in range(n_sites)),
@@ -784,7 +759,7 @@ def load_chain_model(path) -> ChainModel:
         x_default = np.zeros((2, 2), dtype=complex)
     x_ops = tuple(x_overrides[s][1] if s in x_overrides else x_default
                   for s in range(n_sites))
-    n_bonds = n_sites if boundary == "periodic" else n_sites - 1
+    n_bonds = bond_count(n_sites, boundary)
     channels = []
     for lineno, y, gs in bonds:
         if isinstance(gs, float):

@@ -44,10 +44,9 @@ def build(params: IsingParams) -> ChainModel:
         raise ValueError("periodic Ising chains need at least four sites")
     if params.boundary == "open" and n < 2:
         raise ValueError("open Ising chains need at least two sites")
-    n_bonds = n if params.boundary == "periodic" else n - 1
     x_ops = tuple(-params.j * core.PAULI_Z for _ in range(n))
     channel = Channel(tuple(core.PAULI_X for _ in range(n)),
-                      tuple(-params.j for _ in range(n_bonds)))
+                      (-params.j,) * chain.bond_count(n, params.boundary))
     model = ChainModel(n, params.boundary, x_ops, (channel,),
                        tuple(0.0 for _ in range(n)))
     return chain.normalize(model)

@@ -149,7 +149,6 @@ def suite_chain(seed: int) -> list[CheckResult]:
     import warnings
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*separation.*")
-        warnings.filterwarnings("ignore", message=".*closer than 5.*")
         return _suite_chain_inner(seed)
 
 
@@ -159,7 +158,7 @@ def _suite_chain_inner(seed: int) -> list[CheckResult]:
 
     model = ising.build(ising.IsingParams(1.0, 8))
     amp = model.ground.state.amplitudes
-    worst = np.max([abs(model.term_expectation(n, amp)) for n in range(8)])
+    worst = np.max(np.abs(model.site_energies([amp])))
     _check(out, "chain", "normalization", worst < 1e-9 and
            abs(model.ground.energy) < 1e-9,
            f"max density {worst:.3e} ground {model.ground.energy:.3e}")

@@ -43,6 +43,4 @@ def _silence_separation_warnings():
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", message=".*separation.*", category=UserWarning)
-        warnings.filterwarnings(
-            "ignore", message=".*closer than 5.*", category=UserWarning)
         yield

@@ -49,6 +49,52 @@ def test_apply_matches_dense(ising8):
     assert np.abs(ising8.apply_hamiltonian(v) - dense @ v).max() < 1e-10
 
 
+PRIMITIVE_CASES = {
+    "ising8": lambda request: request.getfixturevalue("ising8"),
+    "complex7_open_two_channels":
+        lambda request: _random_hermitian_chain(7, "open", 2, 0.7, 11),
+}
+
+
+def _primitive_inputs(case, request):
+    """The model, unnormalized complex and real vectors, and dense densities."""
+    model = PRIMITIVE_CASES[case](request)
+    rng = np.random.default_rng(31)
+    dim = 2**model.n_sites
+    vectors = [norm * v / np.linalg.norm(v) for norm, v in (
+        (0.5, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)),
+        (1.3, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)),
+        (2.0, rng.standard_normal(dim)))]
+    dense = [core.embed_local(t, model.n_sites) for t in model.terms]
+    return model, vectors, dense
+
+
+@pytest.mark.parametrize("case", PRIMITIVE_CASES)
+def test_site_energies_match_dense_densities(case, request):
+    model, vectors, dense = _primitive_inputs(case, request)
+    tol = 1e-12 * model.energy_scale
+    want = [sum(np.vdot(v, t @ v).real for v in vectors) for t in dense]
+    got = model.site_energies(vectors)
+    assert got.shape == (model.n_sites,)
+    assert np.abs(got - want).max() <= tol
+    ham = model.sparse_hamiltonian.toarray()
+    for v in vectors:
+        assert abs(model.site_energies([v]).sum()
+                   - np.vdot(v, ham @ v).real) <= tol
+
+
+@pytest.mark.parametrize("case", PRIMITIVE_CASES)
+def test_local_energy_matches_dense_region_sum(case, request):
+    model, vectors, dense = _primitive_inputs(case, request)
+    tol = 1e-12 * model.energy_scale
+    if model.boundary == "open":
+        assert len(model.region(0)) == len(model.region(model.n_sites - 1)) == 2
+    for site in range(model.n_sites):
+        h_local = sum(dense[m] for m in model.region(site))
+        for v in vectors:
+            assert np.abs(model.local_energy(site, v) - h_local @ v).max() <= tol
+
+
 def _kron_sparse_hamiltonian(model):
     """Reference assembly: each piece embedded by ``sp.kron`` per identity run."""
     pieces = [{n: model.x_ops[n] - model.shifts[n] * np.eye(2)}
@@ -125,16 +171,14 @@ def test_minimal_chain_already_normalized():
     amp = model.ground.state.amplitudes
     shifted = chain.normalize(model)
     assert max(abs(s) for s in shifted.shifts) < 1e-12
-    for n in range(2):
-        assert abs(model.term_expectation(n, amp)) < 1e-12
+    assert np.abs(model.site_energies([amp])).max() < 1e-12
 
 
 def test_normalize_ising(ising8):
-    amp = ising8.ground.state.amplitudes
-    for n in range(8):
-        assert abs(ising8.term_expectation(n, amp)) < 1e-9
+    eps = ising8.site_energies([ising8.ground.state.amplitudes])
+    assert np.abs(eps).max() < 1e-9
     assert abs(ising8.ground.energy) < 1e-9
-    assert sum(ising8.term_expectation(n, amp) for n in range(8)) < 1e-9
+    assert eps.sum() < 1e-9
 
 
 @pytest.mark.parametrize("case", ["ising8", "complex8_shifted"])
@@ -165,8 +209,7 @@ def test_nonnegative_after_normalize(random_chains10):
     for model in random_chains10:
         assert model.ground.energy > -1e-9
         amp = model.ground.state.amplitudes
-        for n in range(model.n_sites):
-            assert abs(model.term_expectation(n, amp)) < 1e-9
+        assert np.abs(model.site_energies([amp])).max() < 1e-9
 
 
 # ------------------------------------------------------- density witnesses
@@ -177,7 +220,7 @@ def test_witness_negative_on_critical_chain(ising8):
         w = chain.negative_density_witness(ising8, n)
         assert w.epsilon_minus < 0
         assert w.factorization_broken
-        val = ising8.term_expectation(n, w.witness_state.amplitudes)
+        val = ising8.site_energies([w.witness_state.amplitudes])[n]
         assert abs(val - w.epsilon_minus) < 1e-10
 
 
@@ -226,6 +269,28 @@ def test_witness_state_matches_bitwise_embedding(case, request):
         w = chain.negative_density_witness(model, n)
         assert np.array_equal(w.witness_state.amplitudes,
                               _witness_by_bits(model, n))
+
+
+@pytest.mark.parametrize("n_sites, boundary, site", [
+    (2, "open", 0), (2, "open", 1), (3, "open", 1),
+    (3, "periodic", 0), (3, "periodic", 1), (3, "periodic", 2)])
+def test_witness_without_probe_site_raises(n_sites, boundary, site):
+    model = chain.random_chain_model(n_sites, np.random.default_rng(5),
+                                     boundary=boundary)
+    with pytest.raises(ValueError, match=f"site {site} has no probe site "
+                       f"two or more sites away on a {n_sites}-site chain"):
+        chain.negative_density_witness(model, site)
+
+
+@pytest.mark.parametrize("n_sites, boundary, probes", [
+    (3, "open", {0: 2, 2: 0}),
+    (4, "open", {0: 2, 1: 3, 2: 0, 3: 1}),
+    (4, "periodic", {0: 2, 1: 3, 2: 0, 3: 1})])
+def test_witness_probe_two_sites_away(n_sites, boundary, probes):
+    model = chain.random_chain_model(n_sites, np.random.default_rng(5),
+                                     boundary=boundary)
+    for site, probe in probes.items():
+        assert chain.negative_density_witness(model, site).probe_site == probe
 
 
 # ------------------------------------------------------------ protocol runs
@@ -645,6 +710,29 @@ def test_distribution_rejects_overlap(ising12):
         chain.energy_distribution(ising12, 0, meas, (4, 5), (0.1, 0.1))
 
 
+@pytest.mark.parametrize("site_a, sites, thetas", [
+    (0, (2,), (0.1,)),         # extraction region overlaps the measured one
+    (0, (10,), (0.1,)),        # two apart across the periodic wrap
+    (0, (12,), (0.1,)),        # extraction site out of range
+    (0, (-1,), (0.1,)),
+    (0, (6, 6), (0.1, 0.1)),   # repeated extraction site
+    (0, (6,), (0.1, 0.2)),     # one angle per site
+    (12, (), ()),              # measured site out of range, no extraction
+    (12, (), "auto"),
+    (12, (6,), (0.1,)),
+])
+def test_distribution_rejects_bad_sites(ising12, site_a, sites, thetas):
+    meas = core.projective_pauli_measurement((1.0, 0, 0), site_a)
+    with pytest.raises(ValueError):
+        chain.energy_distribution(ising12, site_a, meas, sites, thetas)
+
+
+def test_distribution_warns_below_separation_five(ising12):
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 0)
+    with pytest.warns(UserWarning, match="separation 4 < 5"):
+        chain.energy_distribution(ising12, 0, meas, (4,), (0.1,))
+
+
 def test_general_two_channel_site_dependent_model():
     # fully general density: two channels, different operator at every site
     rng = np.random.default_rng(4242)
@@ -682,7 +770,7 @@ def test_general_two_channel_site_dependent_model():
     assert run.local_energy_b == pytest.approx(-run.e_b, abs=1e-10)
 
     w = chain.negative_density_witness(model, 3)
-    val = model.term_expectation(3, w.witness_state.amplitudes)
+    val = model.site_energies([w.witness_state.amplitudes])[3]
     assert abs(val - w.epsilon_minus) < 1e-10
 
 
