@@ -18,7 +18,6 @@ from .core import (
     embed_local,
     expectation,
     ground_state,
-    partial_trace,
     pauli_component,
     projective_pauli_measurement,
     reduced_density,
@@ -39,7 +38,6 @@ __all__ = [
     "embed_local",
     "expectation",
     "ground_state",
-    "partial_trace",
     "pauli_component",
     "projective_pauli_measurement",
     "reduced_density",

@@ -267,6 +267,8 @@ def negative_density_witness(model: ChainModel, n: int) -> DensityWitness:
     two-point factorization) the lowest eigenvalue is strictly negative; for
     separable ground states a nonnegative value is returned, flag cleared.
     """
+    if not 0 <= n < model.n_sites:
+        raise ValueError(f"site {n} out of range for a {model.n_sites}-site chain")
     term = model.terms[n]
     vals, vecs = np.linalg.eigh(term.matrix)
     eps_minus = float(vals[0])
@@ -322,6 +324,10 @@ class ChainProtocolResult:
 
 
 def _check_separation(model: ChainModel, site_a: int, site_b: int) -> None:
+    """Reject sites out of range or closer than 3; warn below 5.
+
+    Only the public entry points call it, so the warning names their caller.
+    """
     for site in (site_a, site_b):
         if not 0 <= site < model.n_sites:
             raise ValueError(f"site {site} out of range for {model.n_sites} sites")
@@ -424,14 +430,13 @@ def eta_xi(model: ChainModel, sigma_a: LocalOperator,
     for name, op in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
         if not (op.is_hermitian() and op.is_involution()):
             raise ValueError(f"{name} must be a Hermitian involution")
+    _check_separation(model, sigma_a.support[0], sigma_b.support[0])
     return _eta_xi_general(model, sigma_a, sigma_b)
 
 
 def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
                     g_b: LocalOperator) -> tuple[float, float]:
-    site_a = d_a.support[0]
     site_b = g_b.support[0]
-    _check_separation(model, site_a, site_b)
     g = model.ground.state.amplitudes
     n = model.n_sites
 
@@ -552,10 +557,13 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
     """Minimal energy left after label-dependent local cooling at A.
 
     The objective separates over measurement labels: each outcome's branch
-    gives a 4x4 Gram form (:func:`core.one_site_gram`), searched by
+    gives a 4x4 Gram form (:func:`core.one_site_gram`), so the search never
+    touches the full state.  The ``"unitary"`` minimum is exact
+    (:func:`core.lowest_unitary_energy`, one 4x4 eigendecomposition; the
+    coolers are its Euler angles).  ``"kraus2"`` runs
     :func:`core.minimize_one_site` with ``n_starts`` draws from one
-    generator seeded by ``seed`` and the model's energy scale, so the
-    search never touches the full state.  The result upper-bounds the true
+    generator seeded by ``seed`` and the model's energy scale; ``n_starts``
+    and ``seed`` drive only that search.  The result upper-bounds the true
     minimum over channels, so ``E_B <= E_r <= E_A`` is certified before
     returning; a NaN on either side fails it.
     """
@@ -580,9 +588,12 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
             continue
         gram = core.one_site_gram(model.sparse_hamiltonian, site_a,
                                   branch / math.sqrt(p))
-        best, best_params, ok = core.minimize_one_site(
-            gram, search_space, n_starts, rng, model.energy_scale)
-        converged = converged and ok
+        if search_space == "unitary":
+            best, best_params = core.lowest_unitary_energy(gram)
+        else:
+            best, best_params, ok = core.minimize_one_site(
+                gram, n_starts, rng, model.energy_scale)
+            converged = converged and ok
         e_r += p * best
         coolers.append((label, tuple(float(v) for v in best_params)))
 

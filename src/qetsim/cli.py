@@ -109,6 +109,9 @@ def _range_values(spec: tuple[float, float, int], log: bool,
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise UsageError(
             f"the {name} range needs finite ends, got {start}:{stop}")
+    if not math.isfinite(stop - start):
+        raise UsageError(
+            f"the {name} range {start}:{stop} is too wide: its span overflows")
     if count == 1:
         return np.array([start])
     if log:
@@ -272,8 +275,11 @@ def cmd_chain(args) -> int:
     theta_opt, e_b_max = chain.optimal_angle(eta, xi)
     theta = _parse_theta(args.theta)
     resolved_theta = theta_opt if theta is None else theta
-    run = chain.run_protocol(model, chain.ChainProtocolSpec(
-        args.site_a, args.site_b, meas, g_b, resolved_theta))
+    with warnings.catch_warnings():
+        # eta_xi has already warned about this pair's separation
+        warnings.filterwarnings("ignore", message="separation")
+        run = chain.run_protocol(model, chain.ChainProtocolSpec(
+            args.site_a, args.site_b, meas, g_b, resolved_theta))
     payload = {
         "version": __version__,
         "seed": args.seed,

@@ -160,11 +160,6 @@ class DensityOperator:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityOperator":
-        amp = state.amplitudes
-        return cls(tuple(range(state.n_sites)), np.outer(amp, amp.conj()))
-
 
 @dataclass(frozen=True, eq=False)
 class PovmMeasurement:
@@ -328,19 +323,12 @@ def _arpack_lowest(matvec, dim: int, dtype, rng) -> tuple[float, np.ndarray]:
     return float(vals[0]), vecs[:, 0]
 
 
-def expectation(state, op: np.ndarray):
-    """``<psi|O|psi>`` or ``Tr[rho O]``; tiny imaginary parts are truncated."""
+def expectation(state: StateVector, op: np.ndarray):
+    """``<psi|O|psi>``; tiny imaginary parts are truncated."""
     op = np.asarray(op)
-    if isinstance(state, StateVector):
-        if op.shape[0] != state.amplitudes.size:
-            raise ValueError("operator dimension does not match the state")
-        val = np.vdot(state.amplitudes, op @ state.amplitudes)
-    elif isinstance(state, DensityOperator):
-        if op.shape[0] != state.matrix.shape[0]:
-            raise ValueError("operator dimension does not match the state")
-        val = np.trace(state.matrix @ op)
-    else:
-        raise TypeError(f"expected StateVector or DensityOperator, got {type(state)}")
+    if op.shape[0] != state.amplitudes.size:
+        raise ValueError("operator dimension does not match the state")
+    val = np.vdot(state.amplitudes, op @ state.amplitudes)
     if abs(val.imag) < ATOL_ALGEBRA:
         return float(val.real)
     return complex(val)
@@ -358,26 +346,6 @@ def reduced_density(state: StateVector, keep: tuple[int, ...]) -> DensityOperato
     psi = psi.transpose(list(keep) + rest).reshape(2 ** len(keep), -1)
     rho = psi @ psi.conj().T
     return DensityOperator(keep, rho)
-
-
-def partial_trace(rho: DensityOperator, keep: tuple[int, ...]) -> DensityOperator:
-    """Reduced density operator on ``keep``, a subset of ``rho.support``."""
-    keep = tuple(keep)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(s not in rho.support for s in keep):
-        raise ValueError(f"keep {keep} is not a subset of support {rho.support}")
-    n = len(rho.support)
-    pos = {site: i for i, site in enumerate(rho.support)}
-    keep_ax = [pos[s] for s in keep]
-    rest_ax = [i for i in range(n) if i not in keep_ax]
-    tens = rho.matrix.reshape((2,) * (2 * n))
-    perm = keep_ax + rest_ax + [n + i for i in keep_ax] + [n + i for i in rest_ax]
-    tens = tens.transpose(perm)
-    dk, dr = 2 ** len(keep_ax), 2 ** len(rest_ax)
-    tens = tens.reshape(dk, dr, dk, dr)
-    out = np.einsum("arbr->ab", tens)
-    return DensityOperator(keep, out)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -502,35 +470,51 @@ def one_site_energy(gram: np.ndarray, kraus) -> float:
     return float(np.einsum("ki,ij,kj->", vecs.conj(), gram, vecs).real)
 
 
-def minimize_one_site(gram: np.ndarray, search_space: str, n_starts: int,
+# Columns vec(I), vec(-iX), vec(-iY), vec(-iZ): vec(U) = _SU2_BASIS @ q for
+# U = q0 I - i(q1 X + q2 Y + q3 Z) and a real unit 4-vector q.
+_SU2_BASIS = np.stack([PAULI_I.ravel(), -1j * PAULI_X.ravel(),
+                       -1j * PAULI_Y.ravel(), -1j * PAULI_Z.ravel()], axis=1)
+
+
+def lowest_unitary_energy(gram: np.ndarray) -> tuple[float, np.ndarray]:
+    """(exact minimum of :func:`one_site_energy` over SU(2), its angles).
+
+    With ``vec(U) = B q`` (``B`` the columns ``vec(I)``, ``vec(-iX)``,
+    ``vec(-iY)``, ``vec(-iZ)``, ``q`` a real unit 4-vector) the energy is
+    ``q^T Re(B^H G B) q``, so its minimum over SU(2) is the lowest
+    eigenvalue of that real symmetric 4x4 matrix.  The angles are the
+    :func:`euler_unitary` angles of the minimizing ``q``.
+    """
+    form = (_SU2_BASIS.conj().T @ gram @ _SU2_BASIS).real
+    vals, vecs = np.linalg.eigh(0.5 * (form + form.T))
+    q0, q1, q2, q3 = vecs[:, 0]
+    half_sum, half_diff = math.atan2(q3, q0), math.atan2(-q1, q2)
+    angles = np.array([half_sum + half_diff,
+                       2 * math.atan2(math.hypot(q1, q2), math.hypot(q0, q3)),
+                       half_sum - half_diff])
+    return float(vals[0]), angles
+
+
+def minimize_one_site(gram: np.ndarray, n_starts: int,
                       rng: np.random.Generator, scale: float
                       ) -> tuple[float, np.ndarray, bool]:
-    """(lowest :func:`one_site_energy` of ``gram``, its parameters, converged).
+    """(lowest Kraus-pair :func:`one_site_energy`, its parameters, converged).
 
-    ``search_space`` is ``"unitary"`` (:func:`euler_unitary` angles) or
-    ``"kraus2"`` (:func:`kraus_pair`).  A grid (64 angle triples, or the
-    identity pair) and ``n_starts`` draws from ``rng`` are ranked;
-    Nelder-Mead runs from the best ``max(4, n_starts // 2)`` with ``fatol``
-    1e-12 times ``scale``, the energy scale of the operator behind ``gram``.
+    The parameters are the 16 reals of :func:`kraus_pair`.  The identity
+    pair and ``n_starts`` draws from ``rng`` are ranked; Nelder-Mead runs
+    from the best ``max(4, n_starts // 2)`` with ``fatol`` 1e-12 times
+    ``scale``, the energy scale of the operator behind ``gram``.  The
+    unitary minimum is exact: :func:`lowest_unitary_energy`.
     """
     from scipy.optimize import minimize
-    if search_space == "unitary":
-        to_kraus, n_params = euler_unitary, 3
-        grid = [np.array([a, b, c])
-                for a in np.linspace(0, 2 * math.pi, 4, endpoint=False)
-                for b in np.linspace(0, math.pi, 4)
-                for c in np.linspace(0, 2 * math.pi, 4, endpoint=False)]
-    else:
-        to_kraus, n_params = kraus_pair, 16
-        ident = np.zeros(16)
-        ident[0] = ident[5] = 1.0  # stacked identity Kraus pair
-        grid = [ident]
+    ident = np.zeros(16)
+    ident[0] = ident[5] = 1.0  # stacked identity Kraus pair
 
     def objective(params):
-        return one_site_energy(gram, to_kraus(params))
+        return one_site_energy(gram, kraus_pair(params))
 
-    starts = grid + [rng.uniform(0, 2 * math.pi, n_params)
-                     for _ in range(n_starts)]
+    starts = [ident] + [rng.uniform(0, 2 * math.pi, 16)
+                        for _ in range(n_starts)]
     starts.sort(key=objective)
     best = math.inf
     best_params = starts[0]

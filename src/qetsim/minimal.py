@@ -122,6 +122,8 @@ def input_energy(params: MinimalParams) -> float:
 
 def output_energy(params: MinimalParams, theta: float) -> float:
     """Average energy extracted at B for rotation angle ``theta``."""
+    if not math.isfinite(2 * theta):
+        raise ValueError(f"theta {theta!r} is too large: 2*theta overflows")
     h, k = params.h, params.k
     r = params.energy_scale
     return (h * k * math.sin(2 * theta)
@@ -249,16 +251,15 @@ def max_teleported_energy(params: MinimalParams, m: PovmMeasurement,
     """Best average output over outcome-dependent local unitaries on B.
 
     ``"rotation"`` restricts B to y-axis rotations with a free angle per
-    outcome (closed-form optimum); ``"general"`` searches all of SU(2) on
-    each outcome's Gram form (:func:`core.minimize_one_site`, 8 seeded
-    random starts, tolerances scaled by max(h, k)).
+    outcome (closed-form optimum); ``"general"`` takes the exact minimum
+    over all of SU(2) of each outcome's Gram form
+    (:func:`core.lowest_unitary_energy`).
     """
     if unitary_family not in ("rotation", "general"):
         raise ValueError(f"unknown unitary family {unitary_family!r}")
     model = build(params)
     g = model.ground.amplitudes
     op = model.h_b + model.v
-    rng = np.random.default_rng(20_260_810)
     total = 0.0
     for _, mop in m.operators:
         branch = np.kron(mop.matrix, np.eye(2)) @ g
@@ -269,9 +270,8 @@ def max_teleported_energy(params: MinimalParams, m: PovmMeasurement,
         if unitary_family == "rotation":
             low = _min_rotation_family(branch, op)
         else:
-            low, _, _ = core.minimize_one_site(
-                core.one_site_gram(op, 1, branch), "unitary", 8, rng,
-                params.coupling_scale)
+            low, _ = core.lowest_unitary_energy(
+                core.one_site_gram(op, 1, branch))
         total += -p * low
     return total
 

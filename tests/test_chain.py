@@ -1,6 +1,8 @@
 """Chain engine: normalization, protocol routes, cooling, distribution."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +284,15 @@ def test_witness_without_probe_site_raises(n_sites, boundary, site):
         chain.negative_density_witness(model, site)
 
 
+@pytest.mark.parametrize("site", [-1, 6])
+def test_witness_site_out_of_range_raises(site):
+    model = chain.random_chain_model(6, np.random.default_rng(3),
+                                     boundary="open")
+    with pytest.raises(ValueError,
+                       match=f"site {site} out of range for a 6-site chain"):
+        chain.negative_density_witness(model, site)
+
+
 @pytest.mark.parametrize("n_sites, boundary, probes", [
     (3, "open", {0: 2, 2: 0}),
     (4, "open", {0: 2, 1: 3, 2: 0, 3: 1}),
@@ -515,7 +526,7 @@ def test_residual_energy_minimal_model_positive():
         expect += p * _pauli_site_decomposition(
             model.sparse_hamiltonian.toarray().astype(complex), 0, 2,
             branch / math.sqrt(p))
-    assert res.e_r == pytest.approx(expect, abs=1e-8)
+    assert res.e_r == pytest.approx(expect, abs=1e-12 * model.energy_scale)
 
 
 def test_residual_energy_oracle_random_chain():
@@ -531,7 +542,35 @@ def test_residual_energy_oracle_random_chain():
         expect += p * _pauli_site_decomposition(
             model.sparse_hamiltonian.toarray().astype(complex), 3, 6,
             branch / math.sqrt(p))
-    assert res.e_r == pytest.approx(expect, abs=1e-8)
+    assert res.e_r == pytest.approx(expect, abs=1e-12 * model.energy_scale)
+
+
+@pytest.mark.parametrize("case", ["ising8", "complex6"])
+def test_lowest_unitary_energy_is_exact(case, request):
+    if case == "ising8":
+        model = request.getfixturevalue("ising8")
+    else:
+        model = chain.random_chain_model(6, np.random.default_rng(41),
+                                         boundary="open")
+        assert np.iscomplexobj(model.sparse_hamiltonian.data)
+    n, scale = model.n_sites, model.energy_scale
+    dense = model.sparse_hamiltonian.toarray().astype(complex)
+    g = model.ground.state.amplitudes
+    rng = np.random.default_rng(19)
+    haar = np.array([core.haar_unitary(2, rng).ravel() for _ in range(2000)])
+    for site in range(n):
+        for _, mop in core.projective_pauli_measurement(
+                (0.6, 0.0, 0.8), site).operators:
+            branch = core.apply_local(mop, g, n)
+            psi = branch / np.linalg.norm(branch)
+            gram = core.one_site_gram(model.sparse_hamiltonian, site, psi)
+            low, angles = core.lowest_unitary_energy(gram)
+            oracle = _pauli_site_decomposition(dense, site, n, psi)
+            assert abs(low - oracle) <= 1e-12 * scale
+            again = core.one_site_energy(gram, (core.euler_unitary(angles),))
+            assert abs(again - low) <= 1e-12 * scale
+            sampled = np.einsum("ki,ij,kj->k", haar.conj(), gram, haar).real
+            assert sampled.min() >= low - 1e-12 * scale
 
 
 def test_residual_energy_kraus_never_worse():
@@ -731,6 +770,17 @@ def test_distribution_warns_below_separation_five(ising12):
     meas = core.projective_pauli_measurement((1.0, 0, 0), 0)
     with pytest.warns(UserWarning, match="separation 4 < 5"):
         chain.energy_distribution(ising12, 0, meas, (4,), (0.1,))
+
+
+def test_distribution_warns_once_per_site_outside_chain(ising12):
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chain.energy_distribution(ising12, 0, meas, (4, 8))
+    # thetas="auto" also computes eta and xi; the pair warns only once
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "separation 4 < 5"] * 2
+    assert all(Path(w.filename) == Path(__file__) for w in caught)
 
 
 def test_general_two_channel_site_dependent_model():

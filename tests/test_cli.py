@@ -359,6 +359,28 @@ def test_field_overflowing_profile_exit_one(capsys, profile_files, tmp_path,
     assert f"profile {name} is out of range" in err
 
 
+def test_chain_close_pair_warns_once_outside_chain(capsys, chain_file):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, "chain", "--model", chain_file,
+                             "--site-a", "1", "--site-b", "5",
+                             "--direction", "x")
+    assert code == 0
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "separation 4 < 5"]
+    assert Path(caught[0].filename) == Path(cli.__file__)
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimal", "--h", "1", "--k", "1", "--theta", "1e308"),
+    ("sweep", "minimal", "--param", "theta", "--range=1e308:1e308:1"),
+    ("sweep", "minimal", "--param", "theta", "--range=-1e308:1e308:3")])
+def test_overflowing_theta_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_failure(code, out, err)
+    assert "theta" in err
+
+
 def test_sweep_negative_range_start(capsys):
     code, out, _ = run_cli(capsys, "sweep", "minimal", "--param", "theta",
                            "--range=-0.5:0.5:3")
@@ -436,8 +458,11 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file):
          "--lambda-file", lam, "--p-file", p_b],
         ["ising", "--J", "1", "--n", "1:100", "--fit"],
     ] + [["verify", "--suite", s] for s in ("core", "minimal", "ising", "field")]
-    runs = cheap + [["chain", "--model", chain_file, "--site-a", "1",
-                     "--site-b", "5"]]
+    # these build a sparse Hamiltonian; none of them runs a numerical descent
+    sparse = [["verify", "--suite", "chain"],
+              ["ising", "--mode", "numeric", "--N", "8"],
+              ["chain", "--model", chain_file, "--site-a", "1", "--site-b", "5"]]
+    runs = cheap + sparse
     src = str(Path(qetsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -449,9 +474,9 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file):
     for argv, (code, loaded) in zip(cheap, report):
         assert code == 0, argv
         assert loaded == [], f"{' '.join(argv[:3])} loaded {loaded}"
-    code, loaded = report[-1]
-    assert code == 0
-    assert "scipy.sparse" in loaded
+    for argv, (code, loaded) in zip(sparse, report[len(cheap):]):
+        assert code == 0, argv
+        assert loaded == ["scipy.sparse"], f"{' '.join(argv[:3])} loaded {loaded}"
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
