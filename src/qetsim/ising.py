@@ -107,10 +107,9 @@ class IsingEnergies:
 def analytic_energies(j: float, n: int) -> IsingEnergies:
     """Infinite-chain input, output, asymptotic output and residual energy."""
     _check_coupling(j)
-    dl = delta_log(n)
-    # z = (pi/2 * Delta)^2 through logs; sqrt(1+z)-1 without cancellation
-    z = math.exp(2.0 * dl.log_abs + 2.0 * math.log(math.pi / 2.0))
-    e_b = (2.0 * j / math.pi) * z / (1.0 + math.sqrt(1.0 + z))
+    # the involution protocol with eta = 2 J |Delta(n)| and xi = 4 J / pi
+    _, e_b = chain.optimal_angle(2.0 * math.exp(delta_log(n).log_abs) * j,
+                                 (4.0 / math.pi) * j)
     e_b_asym = (j * math.pi / 64.0 * math.sqrt(math.e) * 2.0**(1.0 / 6.0)
                 * ASYMPTOTIC_C**-6.0 * float(n)**-4.5)
     out = IsingEnergies(6.0 * j / math.pi, e_b, e_b_asym, (6.0 / math.pi - 1.0) * j)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import chain, core
 from .core import (
     ATOL_CONSTRUCT,
     LocalOperator,
-    OutcomeRecord,
+    Outcome,
     PovmMeasurement,
     StateVector,
     check_at_most,
@@ -73,7 +73,7 @@ class ProtocolResult:
     e_a: float
     e_b: float
     theta: float
-    outcomes: tuple[OutcomeRecord, ...]
+    outcomes: tuple[Outcome, ...]
     residual_total_energy: float
 
 
@@ -120,25 +120,25 @@ def input_energy(params: MinimalParams) -> float:
     return params.h**2 / params.energy_scale
 
 
-def output_energy(params: MinimalParams, theta: float) -> float:
-    """Average energy extracted at B for rotation angle ``theta``."""
-    if not math.isfinite(2 * theta):
-        raise ValueError(f"theta {theta!r} is too large: 2*theta overflows")
+def _eta_xi(params: MinimalParams) -> tuple[float, float]:
+    """``eta = 2hk/r`` and ``xi = 2(h^2 + 2k^2)/r``; the sum may be near the
+    largest double, so it is divided by ``r`` before it is doubled."""
     h, k = params.h, params.k
     r = params.energy_scale
-    return (h * k * math.sin(2 * theta)
-            - (h * h + 2 * k * k) * (1 - math.cos(2 * theta))) / r
+    return 2 * h * k / r, 2 * ((h * h + 2 * k * k) / r)
+
+
+def output_energy(params: MinimalParams, theta: float) -> float:
+    """Average energy extracted at B for rotation angle ``theta``."""
+    return chain.qubit_closed_form(*_eta_xi(params), theta)
 
 
 def optimize(params: MinimalParams) -> tuple[float, float]:
     """Optimal angle (2 theta in the first quadrant) and the maximal output."""
-    h, k = params.h, params.k
-    a = h * h + 2 * k * k
-    theta = 0.5 * math.atan2(h * k, a)
-    e_b_max = a / params.energy_scale * (math.sqrt(1 + (h * k / a) ** 2) - 1)
+    eta, xi = _eta_xi(params)
+    theta, e_b_max = chain.optimal_angle(eta, xi)
     thetas = np.linspace(0.0, math.pi, 10_000, endpoint=False)
-    sweep = (h * k * np.sin(2 * thetas)
-             - a * (1 - np.cos(2 * thetas))) / params.energy_scale
+    sweep = 0.5 * eta * np.sin(2 * thetas) - xi * np.sin(thetas) ** 2
     check_at_most("theta sweep maximum", sweep.max(), e_b_max, 1e-12,
                   params.coupling_scale)
     return theta, e_b_max
@@ -167,12 +167,9 @@ def run_protocol(params: MinimalParams, theta: float) -> ProtocolResult:
         branch = _projector(alpha) @ g
         p = float(np.vdot(branch, branch).real)
         e_a += np.vdot(branch, model.hamiltonian @ branch).real
-        post_meas = StateVector(2, branch / math.sqrt(p))
         rotated = _rotation(alpha, theta) @ branch
         rho += np.outer(rotated, rotated.conj())
-        records.append(
-            OutcomeRecord(alpha, p, post_meas, StateVector(2, rotated / math.sqrt(p)))
-        )
+        records.append(Outcome(alpha, p, StateVector(2, rotated / math.sqrt(p))))
     total_after = float(np.trace(rho @ model.hamiltonian).real)
     e_b = e_a - total_after
     scale = params.coupling_scale
@@ -296,8 +293,7 @@ def entanglement_bound(params: MinimalParams, m: PovmMeasurement,
     rho_b = core.reduced_density(model.ground, (1,))
     s_before = core.von_neumann_entropy(rho_b)
     s_after = 0.0
-    result = core.apply_measurement(model.ground, m)
-    for outcome in result.outcomes:
+    for outcome in core.apply_measurement(model.ground, m):
         rho_mu = core.reduced_density(outcome.state, (1,))
         s_after += outcome.probability * core.von_neumann_entropy(rho_mu)
     delta_s = s_before - s_after

@@ -52,8 +52,8 @@ def suite_core(seed: int) -> list[CheckResult]:
     worst = 0.0
     for _ in range(100):
         state = core.random_state(3, rng)
-        res = core.apply_measurement(state, meas)
-        worst = np.max([worst, abs(sum(o.probability for o in res.outcomes) - 1.0)])
+        outcomes = core.apply_measurement(state, meas)
+        worst = np.max([worst, abs(sum(o.probability for o in outcomes) - 1.0)])
     _check(out, "core", "probability-conservation", worst < 1e-10,
            f"max |sum p - 1| {worst:.3e}")
 

@@ -1,5 +1,6 @@
 """Chain engine: normalization, protocol routes, cooling, distribution."""
 
+import decimal
 import math
 import warnings
 from pathlib import Path
@@ -312,9 +313,12 @@ def test_protocol_zero_angle_extracts_nothing(ising8):
     g_b = LocalOperator((5,), core.PAULI_Y)
     run = chain.run_protocol(ising8, ChainProtocolSpec(1, 5, meas, g_b, 0.0))
     assert run.e_b == pytest.approx(0.0, abs=1e-14)
+    measured = {o.label: o.state for o in
+                core.apply_measurement(ising8.ground.state, meas)}
+    assert sorted(measured) == sorted(o.label for o in run.outcomes)
     for rec in run.outcomes:
-        assert np.abs(rec.post_operation.amplitudes
-                      - rec.post_measurement.amplitudes).max() < 1e-14
+        assert np.abs(rec.state.amplitudes
+                      - measured[rec.label].amplitudes).max() < 1e-14
 
 
 def test_protocol_routes_and_closed_form(ising12):
@@ -446,6 +450,27 @@ def test_qubit_closed_form_reference_values():
     theta_neg, e_neg = chain.optimal_angle(-1.0, 1.0)
     assert theta_neg == pytest.approx(-math.pi / 8, abs=1e-14)
     assert e_neg == pytest.approx(e_max, abs=1e-15)
+
+
+def test_closed_form_matches_50_digit_reference():
+    dec = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=50)):
+        for xi in (1e-9, 1.0, 1e9):
+            for power in range(-12, 7):
+                for sign in (1.0, -1.0):
+                    eta = sign * 10.0**power * xi
+                    want = float(((dec(eta)**2 + dec(xi)**2).sqrt() - dec(xi)) / 2)
+                    theta, e_max = chain.optimal_angle(eta, xi)
+                    assert type(theta) is float and type(e_max) is float
+                    assert e_max == pytest.approx(want, rel=4e-15, abs=0)
+                    assert chain.qubit_closed_form(eta, xi, theta) == (
+                        pytest.approx(want, rel=1e-14, abs=0))
+        # two-qubit model: (sqrt(a^2 + h^2 k^2) - a) / r, a = h^2 + 2k^2
+        h, k = dec(1.0), dec(1e-7)
+        a = h * h + 2 * k * k
+        want = float(((a * a + (h * k)**2).sqrt() - a) / (h * h + k * k).sqrt())
+    _, e_b = minimal.optimize(minimal.MinimalParams(1.0, 1e-7))
+    assert e_b == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_best_teleportable_energy_matches_eta_xi_scan():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qetsim
-from qetsim import cli
+from qetsim import chain, cli
 from qetsim.field import Profile
 
 
@@ -20,6 +20,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def load_json(out):
+    """CLI stdout as strict JSON: a NaN or Infinity in it fails the test."""
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 @pytest.fixture()
@@ -42,7 +51,7 @@ def chain_file(tmp_path):
 def test_minimal_json_schema(capsys):
     code, out, _ = run_cli(capsys, "minimal", "--h", "1", "--k", "1")
     assert code == 0
-    payload = json.loads(out)
+    payload = load_json(out)
     assert payload["E_A"] == pytest.approx(0.7071067811865475, abs=1e-12)
     assert payload["E_B_max"] == pytest.approx(0.114748, abs=1e-6)
     assert payload["theta_opt"] == pytest.approx(0.1608752771983211, abs=1e-12)
@@ -56,7 +65,7 @@ def test_minimal_zero_theta(capsys):
     code, out, _ = run_cli(capsys, "minimal", "--h", "1", "--k", "1",
                            "--theta", "0")
     assert code == 0
-    assert json.loads(out)["E_B"] == pytest.approx(0.0, abs=1e-13)
+    assert load_json(out)["E_B"] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_minimal_invalid_params_exit_one(capsys):
@@ -115,7 +124,7 @@ def test_chain_report(capsys, chain_file):
                            "--site-a", "1", "--site-b", "5",
                            "--direction", "x")
     assert code == 0
-    payload = json.loads(out)
+    payload = load_json(out)
     assert payload["E_B"] == pytest.approx(payload["E_B_max"], abs=1e-10)
     assert payload["local_energy_B"] == pytest.approx(-payload["E_B"], abs=1e-10)
 
@@ -141,11 +150,28 @@ def test_chain_out_of_range_override_exit_one(capsys, tmp_path):
 
 
 def test_ising_numeric_size_cap(capsys):
-    code, out, err = run_cli(capsys, "ising", "--mode", "numeric", "--N", "17")
+    code, out, err = run_cli(capsys, "ising", "--mode", "numeric", "--N", "19")
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert "16 sites" in err
+    assert "18 sites" in err
+
+
+@pytest.mark.parametrize("n_sites", [19, 40])
+def test_chain_file_above_site_limit_exit_one(capsys, tmp_path, monkeypatch,
+                                              n_sites):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built past the site limit")
+
+    # the limit is checked before any per-site data or model is built
+    monkeypatch.setattr(chain, "ChainModel", no_model)
+    big = tmp_path / "big.chain"
+    big.write_text(f"n_sites = {n_sites}\nboundary = periodic\nx = -1*z\n"
+                   "bond = x ; -1.0\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(big),
+                             "--site-a", "0", "--site-b", "5")
+    _assert_one_line_failure(code, out, err)
+    assert f"n_sites = {n_sites} is above the 18-site limit" in err
 
 
 def test_chain_zero_hamiltonian_exit_two(capsys, tmp_path):
@@ -178,7 +204,7 @@ def test_field_report(capsys, profile_files):
     code, out, _ = run_cli(capsys, "field", "--lambda-file", lam,
                            "--p-file", p_b, "--T", "3")
     assert code == 0
-    payload = json.loads(out)
+    payload = load_json(out)
     assert payload["theta_opt"] == pytest.approx(
         payload["eta"] / (2 * payload["xi"]), rel=1e-12)
     assert payload["E_B_max"] >= 0
@@ -189,7 +215,7 @@ def test_field_oracle_flag(capsys, profile_files):
     code, out, _ = run_cli(capsys, "field", "--lambda-file", lam,
                            "--p-file", p_b, "--T", "3", "--oracle")
     assert code == 0
-    payload = json.loads(out)
+    payload = load_json(out)
     assert payload["oracle"]["relative_gap"] < 1e-6
 
 
@@ -199,13 +225,19 @@ def _assert_one_line_failure(code, out, err):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("pad", ["0", "-3"])
-def test_field_pad_factor_below_one_exit_one(capsys, profile_files, pad):
+@pytest.mark.parametrize("theta", ["1e308", "1e200"])
+def test_field_overflowing_theta_exit_one(capsys, profile_files, theta):
     lam, p_b = profile_files
-    code, out, err = run_cli(capsys, "field", "--lambda-file", lam,
-                             "--p-file", p_b, "--T", "3", "--pad-factor", pad)
+    args = ("field", "--lambda-file", lam, "--p-file", p_b, "--T", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *args, "--theta", theta)
     _assert_one_line_failure(code, out, err)
-    assert "pad factor" in err
+    assert f"theta {float(theta)!r} is too large" in err
+    # a large angle whose output energy stays finite still runs
+    code, out, _ = run_cli(capsys, *args, "--theta", "1e100")
+    assert code == 0
+    assert load_json(out)["E_B"] < 0
 
 
 @pytest.mark.parametrize("extra", [
@@ -427,7 +459,7 @@ def test_direction_normalized_without_overflow(capsys, chain_file):
                                      "--site-a", "0", "--site-b", "4",
                                      f"--direction={direction}")
         assert code == 0 and err == ""
-        payload = json.loads(out)
+        payload = load_json(out)
         del payload["config"]
         payloads.append(payload)
     assert payloads[0] == payloads[1]
@@ -484,7 +516,7 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg.write_text("h = 1.0\nk = 1.0\ntheta = 0\n")
     code, out, _ = run_cli(capsys, "minimal", "--config", str(cfg))
     assert code == 0
-    assert json.loads(out)["E_B"] == pytest.approx(0.0, abs=1e-13)
+    assert load_json(out)["E_B"] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_config_file_cli_overrides(capsys, tmp_path):
@@ -493,7 +525,19 @@ def test_config_file_cli_overrides(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "minimal", "--config", str(cfg),
                            "--theta", "auto")
     assert code == 0
-    assert json.loads(out)["E_B"] > 0.1
+    assert load_json(out)["E_B"] > 0.1
+
+
+@pytest.mark.parametrize("command", ["minimal", "chain"])
+def test_line_without_equals_names_line(capsys, tmp_path, command):
+    # config files and chain files share one 'key = value' reader
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# comment\n\nn_sites 8\n")
+    argv = {"minimal": ("--config", str(bad)),
+            "chain": ("--model", str(bad), "--site-a", "0", "--site-b", "4")}
+    code, out, err = run_cli(capsys, command, *argv[command])
+    _assert_one_line_failure(code, out, err)
+    assert f"{bad}: line 3: expected 'key = value'" in err
 
 
 def test_config_file_unknown_key(capsys, tmp_path):

@@ -177,9 +177,9 @@ def test_entropy_bounds_random_states():
 def test_projective_measurement_on_plus_state():
     plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     meas = core.projective_pauli_measurement((0.0, 0.0, 1.0), 0)
-    result = core.apply_measurement(plus, meas)
-    assert len(result.outcomes) == 2
-    for outcome in result.outcomes:
+    outcomes = core.apply_measurement(plus, meas)
+    assert len(outcomes) == 2
+    for outcome in outcomes:
         assert outcome.probability == pytest.approx(0.5, abs=1e-12)
         assert np.linalg.norm(outcome.state.amplitudes) == pytest.approx(1.0)
 
@@ -187,10 +187,10 @@ def test_projective_measurement_on_plus_state():
 def test_trivial_measurement_identity():
     meas = PovmMeasurement(0, ((1.0, LocalOperator((0,), np.eye(2))),))
     state = core.random_state(2, np.random.default_rng(1))
-    result = core.apply_measurement(state, meas)
-    assert len(result.outcomes) == 1
-    assert result.outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(result.outcomes[0].state.amplitudes, state.amplitudes)
+    outcomes = core.apply_measurement(state, meas)
+    assert len(outcomes) == 1
+    assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(outcomes[0].state.amplitudes, state.amplitudes)
 
 
 def test_measurement_completeness_enforced():
@@ -202,9 +202,8 @@ def test_measurement_completeness_enforced():
 def test_measurement_zero_probability_dropped():
     down = StateVector(1, np.array([0.0, 1.0]))
     meas = core.projective_pauli_measurement((0.0, 0.0, 1.0), 0)
-    result = core.apply_measurement(down, meas)
-    assert [o.label for o in result.outcomes] == [-1.0]
-    assert result.dropped == (1.0,)
+    outcomes = core.apply_measurement(down, meas)
+    assert [o.label for o in outcomes] == [-1.0]
 
 
 def test_probability_conservation_random_states():
@@ -219,8 +218,7 @@ def test_probability_conservation_random_states():
     meas = PovmMeasurement(1, ops)
     for _ in range(100):
         state = core.random_state(3, rng)
-        result = core.apply_measurement(state, meas)
-        total = sum(o.probability for o in result.outcomes)
+        total = sum(o.probability for o in core.apply_measurement(state, meas))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 

@@ -127,7 +127,7 @@ def test_run_protocol_probabilities_and_order():
     params = MinimalParams(1.0, 1.0)
     theta, e_b_max = minimal.optimize(params)
     run = minimal.run_protocol(params, theta)
-    assert sorted(o.alpha for o in run.outcomes) == [-1.0, 1.0]
+    assert sorted(o.label for o in run.outcomes) == [-1.0, 1.0]
     for outcome in run.outcomes:
         assert outcome.probability == pytest.approx(0.5, abs=1e-12)
     assert run.e_a == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -137,11 +137,15 @@ def test_run_protocol_probabilities_and_order():
 
 
 def test_run_protocol_zero_angle_leaves_measured_state():
-    run = minimal.run_protocol(MinimalParams(2.0, 1.0), 0.0)
+    params = MinimalParams(2.0, 1.0)
+    run = minimal.run_protocol(params, 0.0)
     assert run.e_b == pytest.approx(0.0, abs=1e-14)
+    measured = {o.label: o.state for o in core.apply_measurement(
+        minimal.build(params).ground, minimal.sigma_x_measurement())}
+    assert sorted(measured) == sorted(o.label for o in run.outcomes)
     for outcome in run.outcomes:
-        assert np.abs(outcome.post_operation.amplitudes
-                      - outcome.post_measurement.amplitudes).max() < 1e-14
+        assert np.abs(outcome.state.amplitudes
+                      - measured[outcome.label].amplitudes).max() < 1e-14
 
 
 def test_closed_form_brute_force_equivalence_sweep():
@@ -160,8 +164,7 @@ def test_negative_local_energy_at_optimum():
     theta, e_b_max = minimal.optimize(params)
     run = minimal.run_protocol(params, theta)
     rho = sum(
-        o.probability * np.outer(o.post_operation.amplitudes,
-                                 o.post_operation.amplitudes.conj())
+        o.probability * np.outer(o.state.amplitudes, o.state.amplitudes.conj())
         for o in run.outcomes
     )
     local_b = np.trace(rho @ (model.h_b + model.v)).real
@@ -238,8 +241,8 @@ def test_entanglement_bound_projective_reference_case():
 def test_entanglement_bound_projective_post_states_product():
     params = MinimalParams(1.0, 1.0)
     model = minimal.build(params)
-    result = core.apply_measurement(model.ground, minimal.sigma_x_measurement())
-    for outcome in result.outcomes:
+    for outcome in core.apply_measurement(model.ground,
+                                          minimal.sigma_x_measurement()):
         rho_b = core.reduced_density(outcome.state, (1,))
         assert core.von_neumann_entropy(rho_b) < 1e-12
 
