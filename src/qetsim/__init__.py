@@ -7,7 +7,6 @@ reproduce them.
 """
 
 from .core import (
-    DensityOperator,
     EigensolverError,
     GroundState,
     InvariantViolation,
@@ -27,7 +26,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityOperator",
     "EigensolverError",
     "GroundState",
     "InvariantViolation",

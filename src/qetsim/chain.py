@@ -427,12 +427,33 @@ def eta_xi(model: ChainModel, sigma_a: LocalOperator,
     with the velocity of the generator at B, computed both from the local
     energy around B and from the full Hamiltonian (agreeing within 1e-10 times
     the energy scale); ``xi`` is the generator's positive fluctuation at B.
+    Both must be traceless Hermitian involutions (``+-1`` is only a phase).
     """
     for name, op in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
-        if not (op.is_hermitian() and op.is_involution()):
-            raise ValueError(f"{name} must be a Hermitian involution")
+        if not (op.is_hermitian() and op.is_involution()
+                and abs(np.trace(op.matrix)) <= core.ATOL_ALGEBRA):
+            raise ValueError(f"{name} must be a traceless Hermitian involution")
     _check_separation(model, sigma_a.support[0], sigma_b.support[0])
     return _eta_xi_general(model, sigma_a, sigma_b)
+
+
+def _global_eta_xi(model: ChainModel, d_a: LocalOperator,
+                   gens: list[LocalOperator], h_g: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """η and Ξ of generators ``G_i`` at one site, by the global route.
+
+    ``eta[i] = <g|D_A i[H, G_i]|g>`` and ``xi[i, j] = <G_i g|H|G_j g>``,
+    both complex, with ``h_g = H g`` for the ground state ``g``.
+    """
+    g = model.ground.state.amplitudes
+    n = model.n_sites
+    ws = [apply_local(op, g, n) for op in gens]
+    hws = [model.apply_hamiltonian(w) for w in ws]
+    eta = np.array([
+        np.vdot(g, apply_local(d_a, 1j * (hw - apply_local(op, h_g, n)), n))
+        for op, hw in zip(gens, hws)])
+    xi = np.array([[np.vdot(w, hw) for hw in hws] for w in ws])
+    return eta, xi
 
 
 def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
@@ -440,23 +461,18 @@ def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
     site_b = g_b.support[0]
     g = model.ground.state.amplitudes
     n = model.n_sites
+    eta, xi = _global_eta_xi(model, d_a, [g_b], model.apply_hamiltonian(g))
 
-    # the velocity i[H_B, G] applied to g, by the local energy and by H
+    # the velocity i[H_B, G] applied to g, by the local energy around B
     gg = apply_local(g_b, g, n)
     w = 1j * (model.local_energy(site_b, gg)
               - apply_local(g_b, model.local_energy(site_b, g), n))
     eta_local = np.vdot(g, apply_local(d_a, w, n))
-
-    h_gg = model.apply_hamiltonian(gg)
-    w2 = 1j * (h_gg - apply_local(g_b, model.apply_hamiltonian(g), n))
-    eta_full = np.vdot(g, apply_local(d_a, w2, n))
     scale = model.energy_scale
-    check_close("eta by the local route", eta_local, eta_full, 1e-10, scale)
+    check_close("eta by the local route", eta_local, eta[0], 1e-10, scale)
     check_close("eta", eta_local, eta_local.real, 1e-10, scale)
-
-    xi_val = np.vdot(gg, h_gg)
-    check_close("xi", xi_val, xi_val.real, 1e-10, scale)
-    return float(eta_local.real), float(xi_val.real)
+    check_close("xi", xi[0, 0], xi[0, 0].real, 1e-10, scale)
+    return float(eta_local.real), float(xi[0, 0].real)
 
 
 def qubit_closed_form(eta: float, xi: float, theta: float) -> float:
@@ -522,28 +538,16 @@ def best_teleportable_energy(model: ChainModel,
                   if model.separation(s, measurement.site) >= 3)
     if not sites:
         raise ValueError("no extraction site is far enough from the measurement")
-    gs = model.ground
-    g = gs.state.amplitudes
-    n = model.n_sites
-    h_g = model.apply_hamiltonian(g)
+    h_g = model.apply_hamiltonian(model.ground.state.amplitudes)
     best = -math.inf
     best_site = sites[0]
     dirs = np.vstack([np.eye(3), _fibonacci_sphere(192)])
     paulis = (core.PAULI_X, core.PAULI_Y, core.PAULI_Z)
     for site in sites:
         ops = [LocalOperator((site,), pm) for pm in paulis]
-        ws = [apply_local(op, g, n) for op in ops]
-        hws = [model.apply_hamiltonian(w) for w in ws]
-        etas = np.zeros(3)
-        for i, op in enumerate(ops):
-            w = 1j * (hws[i] - apply_local(op, h_g, n))
-            etas[i] = np.vdot(g, apply_local(d_a, w, n)).real
-        xi_mat = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                xi_mat[i, j] = np.vdot(ws[i], hws[j]).real
-        xi_mat = 0.5 * (xi_mat + xi_mat.T)
-        eta_u = dirs @ etas
+        eta, xi = _global_eta_xi(model, d_a, ops, h_g)
+        xi_mat = 0.5 * (xi.real + xi.real.T)
+        eta_u = dirs @ eta.real
         xi_u = np.einsum("ki,ij,kj->k", dirs, xi_mat, dirs)
         usable = xi_u > 0
         vals = np.full(dirs.shape[0], -math.inf)
@@ -576,8 +580,9 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
     The objective separates over measurement labels: each outcome's branch
     gives a 4x4 Gram form (:func:`core.one_site_gram`), so the search never
     touches the full state.  The ``"unitary"`` minimum is exact
-    (:func:`core.lowest_unitary_energy`, one 4x4 eigendecomposition; the
-    coolers are its Euler angles).  ``"kraus2"`` runs
+    (:func:`core.lowest_unitary_energy`, one 4x4 eigendecomposition; each
+    cooler is ``(label, (q0, q1, q2, q3))``, a :func:`core.su2_unitary`
+    quaternion).  ``"kraus2"`` runs
     :func:`core.minimize_one_site` with ``n_starts`` draws from one
     generator seeded by ``seed`` and the model's energy scale; ``n_starts``
     and ``seed`` drive only that search.  The result upper-bounds the true

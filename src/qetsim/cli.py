@@ -464,6 +464,10 @@ COMMANDS = {
 }
 
 
+_CONFIG_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                    **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _apply_config_defaults(subparser: argparse.ArgumentParser,
                            defaults: dict) -> None:
     actions = {a.dest: a for a in subparser._actions}
@@ -473,15 +477,15 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser,
     typed = {}
     for key, value in defaults.items():
         action = actions[key]
-        if action.type is not None:
-            try:
+        try:
+            if action.type is not None:
                 typed[key] = action.type(value)
-            except ValueError:
-                raise UsageError(f"config key {key!r}: bad value {value!r}")
-        elif isinstance(action.default, bool):
-            typed[key] = value.lower() in ("1", "true", "yes", "on")
-        else:
-            typed[key] = value
+            elif isinstance(action.default, bool):
+                typed[key] = _CONFIG_BOOLEANS[value.lower()]
+            else:
+                typed[key] = value
+        except (ValueError, KeyError):
+            raise UsageError(f"config key {key!r}: bad value {value!r}")
     subparser.set_defaults(**typed)
 
 

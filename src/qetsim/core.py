@@ -67,12 +67,12 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     """Symmetrize a nominally Hermitian matrix, rejecting real asymmetry."""
     anti = matrix - matrix.conj().T
-    if np.abs(anti).max() > ATOL_CONSTRUCT:
+    if not np.abs(anti).max() <= ATOL_CONSTRUCT:
         raise ValueError(
             f"matrix is not Hermitian within {ATOL_CONSTRUCT:g} "
             f"(antisymmetric part {np.abs(anti).max():.3g})"
         )
-    return 0.5 * (matrix + matrix.conj().T)
+    return 0.5 * matrix + 0.5 * matrix.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +88,8 @@ class StateVector:
             raise ValueError(
                 f"need 2**{self.n_sites} amplitudes, got shape {amp.shape}"
             )
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > ATOL_CONSTRUCT:
+        norm = float(np.linalg.norm(amp))
+        if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
         amp = amp.copy()
         amp.setflags(write=False)
@@ -137,31 +137,6 @@ class LocalOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, PSD, unit-trace operator on a labeled site subset."""
-
-    support: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        support = tuple(int(s) for s in self.support)
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** len(support)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} mismatches support {support}")
-        if np.abs(mat - mat.conj().T).max() > ATOL_CONSTRUCT:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > ATOL_CONSTRUCT:
-            raise ValueError(f"trace {np.trace(mat).real!r} deviates from 1")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
-        mat = 0.5 * (mat + mat.conj().T)
-        mat.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True, eq=False)
 class PovmMeasurement:
     """Generalized measurement at one site: operators M(alpha), sum M^t M = I."""
 
@@ -179,7 +154,7 @@ class PovmMeasurement:
                     f"operator support {op.support} must be ({self.site},)"
                 )
             total += op.matrix.conj().T @ op.matrix
-        if np.abs(total - np.eye(2)).max() > ATOL_ALGEBRA:
+        if not np.abs(total - np.eye(2)).max() <= ATOL_ALGEBRA:
             raise ValueError(
                 "completeness violated: sum M^t M deviates from identity by "
                 f"{np.abs(total - np.eye(2)).max():.3g}"
@@ -334,8 +309,9 @@ def expectation(state: StateVector, op: np.ndarray):
     return complex(val)
 
 
-def reduced_density(state: StateVector, keep: tuple[int, ...]) -> DensityOperator:
-    """Partial trace of a pure state down to the ``keep`` sites."""
+def reduced_density(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of a pure state down to the ``keep`` sites, in that
+    order: a Hermitian ``2**len(keep)`` matrix."""
     keep = tuple(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
@@ -344,13 +320,13 @@ def reduced_density(state: StateVector, keep: tuple[int, ...]) -> DensityOperato
     rest = [s for s in range(state.n_sites) if s not in keep]
     psi = state.amplitudes.reshape((2,) * state.n_sites)
     psi = psi.transpose(list(keep) + rest).reshape(2 ** len(keep), -1)
-    rho = psi @ psi.conj().T
-    return DensityOperator(keep, rho)
+    return psi @ psi.conj().T
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy -Tr[rho ln rho] in nats; eigenvalues below 1e-14 contribute 0."""
-    vals = np.linalg.eigvalsh(rho.matrix)
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -Tr[rho ln rho] in nats of a density matrix such as
+    :func:`reduced_density` returns; eigenvalues below 1e-14 contribute 0."""
+    vals = np.linalg.eigvalsh(rho)
     vals = vals[vals > 1e-14]
     return float(-np.sum(vals * np.log(vals)))
 
@@ -406,20 +382,6 @@ def projective_pauli_measurement(u, site: int) -> PovmMeasurement:
     return PovmMeasurement(site, tuple(ops))
 
 
-def euler_unitary(angles) -> np.ndarray:
-    """The qubit rotation Rz(a) Ry(b) Rz(c) for Euler angles (a, b, c).
-
-    With ``Rz(t) = diag(e^{-it/2}, e^{it/2})`` the product is written out
-    entry by entry.
-    """
-    a, b, c = angles
-    cos_b, sin_b = math.cos(b / 2), math.sin(b / 2)
-    za, zc = cmath.exp(-0.5j * a), cmath.exp(-0.5j * c)
-    plus, minus = za * zc, za * zc.conjugate()
-    return np.array([[plus * cos_b, -minus * sin_b],
-                     [minus.conjugate() * sin_b, plus.conjugate() * cos_b]])
-
-
 def kraus_pair(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two 2x2 Kraus operators from 16 reals, complete by construction."""
     raw = params.reshape(8, 2)
@@ -459,23 +421,23 @@ _SU2_BASIS = np.stack([PAULI_I.ravel(), -1j * PAULI_X.ravel(),
                        -1j * PAULI_Y.ravel(), -1j * PAULI_Z.ravel()], axis=1)
 
 
+def su2_unitary(q) -> np.ndarray:
+    """The 2x2 unitary ``q0 I - i(q1 X + q2 Y + q3 Z)`` of a unit quaternion."""
+    return (_SU2_BASIS @ np.asarray(q, dtype=float)).reshape(2, 2)
+
+
 def lowest_unitary_energy(gram: np.ndarray) -> tuple[float, np.ndarray]:
-    """(exact minimum of :func:`one_site_energy` over SU(2), its angles).
+    """(exact minimum of :func:`one_site_energy` over SU(2), its quaternion).
 
     With ``vec(U) = B q`` (``B`` the columns ``vec(I)``, ``vec(-iX)``,
     ``vec(-iY)``, ``vec(-iZ)``, ``q`` a real unit 4-vector) the energy is
     ``q^T Re(B^H G B) q``, so its minimum over SU(2) is the lowest
-    eigenvalue of that real symmetric 4x4 matrix.  The angles are the
-    :func:`euler_unitary` angles of the minimizing ``q``.
+    eigenvalue of that real symmetric 4x4 matrix.  The minimizing ``q``
+    is returned; :func:`su2_unitary` turns it into the matrix.
     """
     form = (_SU2_BASIS.conj().T @ gram @ _SU2_BASIS).real
     vals, vecs = np.linalg.eigh(0.5 * (form + form.T))
-    q0, q1, q2, q3 = vecs[:, 0]
-    half_sum, half_diff = math.atan2(q3, q0), math.atan2(-q1, q2)
-    angles = np.array([half_sum + half_diff,
-                       2 * math.atan2(math.hypot(q1, q2), math.hypot(q0, q3)),
-                       half_sum - half_diff])
-    return float(vals[0]), angles
+    return float(vals[0]), vecs[:, 0]
 
 
 def minimize_one_site(gram: np.ndarray, n_starts: int,
@@ -555,7 +517,8 @@ def parse_pauli_expression(text: str) -> np.ndarray:
     expr = text.strip()
     if not expr:
         raise ValueError("empty operator expression")
-    chunks = re.split(r"(?=[+-])", expr.replace(" ", ""))
+    # split before each sign, except the sign of an exponent such as 1e-3
+    chunks = re.split(r"(?<![eE])(?=[+-])", expr.replace(" ", ""))
     mat = np.zeros((2, 2), dtype=complex)
     seen = False
     for chunk in chunks:

@@ -332,14 +332,6 @@ def kernel_double_integral(spec: FieldProtocolSpec) -> float:
     return float((wb * vb) @ kernel @ (wa * va))
 
 
-def eta_xi(spec: FieldProtocolSpec) -> tuple[float, float]:
-    """Correlation coefficient and displacement fluctuation of the protocol."""
-    overlap = vacuum_overlap(spec.lambda_a)
-    eta = -4.0 / math.pi * overlap * kernel_double_integral(spec)
-    xi = derivative_squared_integral(spec.p_b)
-    return eta, xi
-
-
 @dataclass(frozen=True, eq=False)
 class FieldProtocolResult:
     theta_opt: float

@@ -98,9 +98,9 @@ def build(params: MinimalParams) -> MinimalModel:
     """Construct operators and the closed-form ground state, verified."""
     r = params.energy_scale
     h, k = params.h, params.k
-    h_a = h * _SZ_A + (h * h / r) * _I4
-    h_b = h * _SZ_B + (h * h / r) * _I4
-    v = 2 * k * (_SX_A @ _SX_B) + (2 * k * k / r) * _I4
+    h_a = h * _SZ_A + h * (h / r) * _I4
+    h_b = h * _SZ_B + h * (h / r) * _I4
+    v = 2 * k * (_SX_A @ _SX_B) + 2 * k * (k / r) * _I4
     ham = h_a + h_b + v
     ground = closed_form_ground(params)
 
@@ -117,15 +117,15 @@ def build(params: MinimalParams) -> MinimalModel:
 
 def input_energy(params: MinimalParams) -> float:
     """Average energy deposited by the projective x measurement on A."""
-    return params.h**2 / params.energy_scale
+    return params.h * (params.h / params.energy_scale)
 
 
 def _eta_xi(params: MinimalParams) -> tuple[float, float]:
-    """``eta = 2hk/r`` and ``xi = 2(h^2 + 2k^2)/r``; the sum may be near the
-    largest double, so it is divided by ``r`` before it is doubled."""
+    """``eta = 2hk/r`` and ``xi = 2(h^2 + 2k^2)/r``; each ``ab/r`` is
+    evaluated as ``a(b/r)``, which neither underflows nor overflows."""
     h, k = params.h, params.k
     r = params.energy_scale
-    return 2 * h * k / r, 2 * ((h * h + 2 * k * k) / r)
+    return 2 * h * (k / r), 2 * (h * (h / r) + 2 * k * (k / r))
 
 
 def output_energy(params: MinimalParams, theta: float) -> float:
@@ -208,7 +208,7 @@ def local_cooling_deficit(params: MinimalParams, w_b: LocalOperator) -> float:
 def hb_evolution(params: MinimalParams, t: float) -> float:
     """Closed-form <H_B(t)> of the average post-measurement state."""
     r = params.energy_scale
-    return params.h**2 / (2 * r) * (1 - math.cos(4 * params.k * t))
+    return params.h * (params.h / r) / 2 * (1 - math.cos(4 * params.k * t))
 
 
 def evolved_local_energies(params: MinimalParams, t: float) -> tuple[float, float]:
@@ -233,8 +233,7 @@ def evolved_local_energies(params: MinimalParams, t: float) -> tuple[float, floa
 def _min_rotation_family(branch: np.ndarray, op: np.ndarray) -> float:
     """Exact minimum of <psi|exp(i th sy) O exp(-i th sy)|psi> over th."""
     def val(theta):
-        u = math.cos(theta) * _I4 - 1j * math.sin(theta) * _SY_B
-        w = u @ branch
+        w = _rotation(1.0, theta) @ branch
         return float(np.vdot(w, op @ w).real)
 
     f0, f90, f45 = val(0.0), val(math.pi / 2), val(math.pi / 4)

@@ -589,10 +589,11 @@ def test_lowest_unitary_energy_is_exact(case, request):
             branch = core.apply_local(mop, g, n)
             psi = branch / np.linalg.norm(branch)
             gram = core.one_site_gram(model.sparse_hamiltonian, site, psi)
-            low, angles = core.lowest_unitary_energy(gram)
+            low, q = core.lowest_unitary_energy(gram)
             oracle = _pauli_site_decomposition(dense, site, n, psi)
             assert abs(low - oracle) <= 1e-12 * scale
-            again = core.one_site_energy(gram, (core.euler_unitary(angles),))
+            assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+            again = core.one_site_energy(gram, (core.su2_unitary(q),))
             assert abs(again - low) <= 1e-12 * scale
             sampled = np.einsum("ki,ij,kj->k", haar.conj(), gram, haar).real
             assert sampled.min() >= low - 1e-12 * scale
@@ -680,7 +681,8 @@ def test_cooling_gram_matches_direct_energy(case, search_space, request):
         got, want = [], []
         for _ in range(50):
             if search_space == "unitary":
-                kraus = (core.euler_unitary(rng.uniform(0, 2 * math.pi, 3)),)
+                q = rng.standard_normal(4)
+                kraus = (core.su2_unitary(q / np.linalg.norm(q)),)
             else:
                 kraus = core.kraus_pair(rng.uniform(0, 2 * math.pi, 16))
             got.append(core.one_site_energy(gram, kraus))

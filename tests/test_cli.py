@@ -149,6 +149,38 @@ def test_chain_out_of_range_override_exit_one(capsys, tmp_path):
     assert "line 4: site 6 out of range" in err
 
 
+def test_chain_file_signed_exponent(capsys, tmp_path):
+    path = tmp_path / "model.chain"
+    outs = []
+    for coef in ("2.5e-1", "0.25"):
+        path.write_text("n_sites = 8\nboundary = periodic\n"
+                        f"x = -1*z + {coef}*x\nbond = x ; -1.0\n")
+        code, out, _ = run_cli(capsys, "chain", "--model", str(path),
+                               "--site-a", "1", "--site-b", "5")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_chain_file_overflowing_hermitization_exit_one(capsys, tmp_path):
+    # each entry is finite; only the on-site sum over the chain overflows
+    big = tmp_path / "big.chain"
+    big.write_text("n_sites = 8\nboundary = periodic\n"
+                   "x = 1e308*z + 1e308*x\nbond = x ; -1.0\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(big),
+                             "--site-a", "0", "--site-b", "4")
+    _assert_one_line_failure(code, out, err)
+    assert "Hamiltonian has non-finite entries" in err
+
+
+@pytest.mark.parametrize("g_b", ["1", "-1"])
+def test_chain_identity_generator_exit_one(capsys, chain_file, g_b):
+    code, out, err = run_cli(capsys, "chain", "--model", chain_file,
+                             "--site-a", "1", "--site-b", "5", "--g-b", g_b)
+    _assert_one_line_failure(code, out, err)
+    assert "sigma_b must be a traceless Hermitian involution" in err
+
+
 def test_ising_numeric_size_cap(capsys):
     code, out, err = run_cli(capsys, "ising", "--mode", "numeric", "--N", "19")
     assert code == 1
@@ -538,6 +570,25 @@ def test_line_without_equals_names_line(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, *argv[command])
     _assert_one_line_failure(code, out, err)
     assert f"{bad}: line 3: expected 'key = value'" in err
+
+
+@pytest.mark.parametrize("value, fit", [("TRUE", True), ("on", True),
+                                        ("0", False), ("No", False)])
+def test_config_boolean_values(capsys, tmp_path, value, fit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"fit = {value}\n")
+    code, out, _ = run_cli(capsys, "ising", "--config", str(cfg),
+                           "--n", "1:3")
+    assert code == 0
+    assert ("# fit_exponent" in out) is fit
+
+
+def test_config_bad_boolean_exit_one(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fit = maybe\n")
+    code, out, err = run_cli(capsys, "ising", "--config", str(cfg))
+    _assert_one_line_failure(code, out, err)
+    assert "config key 'fit': bad value 'maybe'" in err
 
 
 def test_config_file_unknown_key(capsys, tmp_path):

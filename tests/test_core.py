@@ -7,7 +7,6 @@ import pytest
 
 from qetsim import core
 from qetsim.core import (
-    DensityOperator,
     LocalOperator,
     PovmMeasurement,
     StateVector,
@@ -21,6 +20,21 @@ def test_state_vector_norm_enforced():
         StateVector(1, np.array([1.0, 1.0]))
     sv = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     assert sv.amplitudes.flags.writeable is False
+
+
+def test_state_vector_rejects_nan():
+    with pytest.raises(ValueError, match="norm nan"):
+        StateVector(1, np.array([math.nan, 0.0]))
+
+
+def test_hermitize_rejects_nan():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        core.hermitize(np.full((2, 2), math.nan))
+
+
+def test_hermitize_keeps_largest_doubles():
+    big = 1e308 * (core.PAULI_Z + core.PAULI_X)
+    assert np.array_equal(core.hermitize(big), big)
 
 
 def test_local_operator_dimension_checked():
@@ -143,13 +157,13 @@ def test_partial_trace_product_state():
     one = np.array([0.0, 1.0])
     state = StateVector(2, np.kron(zero, one))
     rho = core.reduced_density(state, (1,))
-    assert np.allclose(rho.matrix, np.outer(one, one), atol=1e-12)
+    assert np.allclose(rho, np.outer(one, one), atol=1e-12)
 
 
 def test_partial_trace_bell_state():
     bell = StateVector(2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
     rho = core.reduced_density(bell, (1,))
-    assert np.allclose(rho.matrix, 0.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(rho, 0.5 * np.eye(2), atol=1e-12)
 
 
 def test_partial_trace_empty_keep_rejected():
@@ -159,9 +173,9 @@ def test_partial_trace_empty_keep_rejected():
 
 
 def test_entropy_pure_and_mixed():
-    pure = DensityOperator((0,), np.diag([1.0, 0.0]))
+    pure = np.diag([1.0, 0.0])
     assert core.von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
-    mixed = DensityOperator((0,), 0.5 * np.eye(2))
+    mixed = 0.5 * np.eye(2)
     assert core.von_neumann_entropy(mixed) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -197,6 +211,12 @@ def test_measurement_completeness_enforced():
     half = LocalOperator((0,), 0.5 * np.eye(2))
     with pytest.raises(ValueError):
         PovmMeasurement(0, ((1.0, half),))
+
+
+def test_measurement_rejects_nan_element():
+    nan = LocalOperator((0,), np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="completeness violated"):
+        PovmMeasurement(0, ((1.0, nan),))
 
 
 def test_measurement_zero_probability_dropped():
@@ -249,26 +269,21 @@ def test_pauli_component_rejects_non_finite(bad):
         core.pauli_component((bad, 0.0, 1.0), 0)
 
 
-def _product_euler_unitary(angles):
-    """Rz(a) Ry(b) Rz(c) as an explicit matrix product, the reference."""
-    a, b, c = angles
-    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)],
-                   [math.sin(b / 2), math.cos(b / 2)]], dtype=complex)
-    rz2 = np.diag([np.exp(-0.5j * c), np.exp(0.5j * c)])
-    return rz1 @ ry @ rz2
-
-
-def test_euler_unitary_matches_product_form():
-    # each entry is the same three unit-modulus factors multiplied in
-    # another order: a few float64 roundings apart, so 1e-15 per entry
+def test_su2_unitary_matches_pauli_form():
+    # U = q0 I - i(q1 X + q2 Y + q3 Z), entry by entry; each entry is one
+    # product and at most one sum, so 1e-15 per entry
     rng = np.random.default_rng(71)
-    for low, high in ((0.0, 2 * math.pi), (-40.0, 40.0)):
-        for _ in range(2000):
-            angles = rng.uniform(low, high, 3)
-            got = core.euler_unitary(angles)
-            assert got.dtype == complex
-            assert np.abs(got - _product_euler_unitary(angles)).max() <= 1e-15
+    for _ in range(2000):
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        got = core.su2_unitary(q)
+        want = q[0] * core.PAULI_I - 1j * (q[1] * core.PAULI_X
+                                           + q[2] * core.PAULI_Y
+                                           + q[3] * core.PAULI_Z)
+        assert got.dtype == complex and got.shape == (2, 2)
+        assert np.abs(got - want).max() <= 1e-15
+        assert np.abs(got.conj().T @ got - np.eye(2)).max() <= 1e-15
+        assert abs(np.linalg.det(got) - 1.0) <= 1e-15
 
 
 def test_haar_unitary_is_unitary():
@@ -286,7 +301,18 @@ def test_parse_pauli_expression():
     with pytest.raises(ValueError):
         core.parse_pauli_expression("q + z")
     with pytest.raises(ValueError):
+        core.parse_pauli_expression("e-3*z")
+    with pytest.raises(ValueError):
         core.parse_pauli_expression("")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1e-3*z", 1e-3 * core.PAULI_Z),
+    ("2.5E+1*x", 25.0 * core.PAULI_X),
+    ("-1e-3*z + x", -1e-3 * core.PAULI_Z + core.PAULI_X),
+])
+def test_parse_pauli_expression_signed_exponent(text, want):
+    assert np.array_equal(core.parse_pauli_expression(text), want)
 
 
 CHECKS = [core.check_close, core.check_at_most]

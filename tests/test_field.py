@@ -312,9 +312,9 @@ def test_spec_rejects_non_finite_delay_and_angle(bad):
 def test_eta_zero_without_measurement():
     spec = make_spec()
     zero = Profile(0.0, spec.lambda_a.dx, np.zeros(257), (0.0, 1.0))
-    eta, xi = field.eta_xi(FieldProtocolSpec(zero, spec.p_b, spec.delay))
-    assert eta == pytest.approx(0.0, abs=1e-15)
-    assert xi > 0
+    res = field.output_energy(FieldProtocolSpec(zero, spec.p_b, spec.delay))
+    assert res.eta == pytest.approx(0.0, abs=1e-15)
+    assert res.xi > 0
 
 
 def test_xi_positive_even_for_plateau_window():
@@ -322,15 +322,14 @@ def test_xi_positive_even_for_plateau_window():
     vals = np.minimum(1.0, 4 * np.sin(math.pi * x) ** 2) * 0.1
     plateau = Profile(0.0, x[1] - x[0], vals, (0.0, 1.0))
     lam = sin2(0.1, -3.0, 1.0)
-    eta, xi = field.eta_xi(FieldProtocolSpec(lam, plateau, 2.0))
-    assert xi > 0
+    assert field.output_energy(FieldProtocolSpec(lam, plateau, 2.0)).xi > 0
 
 
 def test_eta_sign_and_kernel_decay():
     spec = make_spec(delay=3.0)
-    eta1, _ = field.eta_xi(spec)
+    eta1 = field.output_energy(spec).eta
     assert eta1 < 0  # positive profiles, positive kernel, leading minus
-    eta2, _ = field.eta_xi(make_spec(delay=6.0))
+    eta2 = field.output_energy(make_spec(delay=6.0)).eta
     assert abs(eta2) < abs(eta1)
 
 
@@ -338,7 +337,8 @@ def test_eta_xi_refinement_stability():
     vals = {}
     for n in (257, 513, 1025):
         spec = make_spec(n=n)
-        vals[n] = field.eta_xi(spec)
+        res = field.output_energy(spec)
+        vals[n] = (res.eta, res.xi)
     eta_rel = abs(vals[513][0] - vals[1025][0]) / abs(vals[1025][0])
     xi_rel = abs(vals[513][1] - vals[1025][1]) / abs(vals[1025][1])
     assert eta_rel < 1e-6

@@ -55,7 +55,7 @@ def test_ground_state_marginal_spectrum():
     # squared Schmidt coefficients (1 -+ h/sqrt(h^2+k^2))/2 of the ground state
     model = minimal.build(MinimalParams(1.0, 1.0))
     rho_b = core.reduced_density(model.ground, (1,))
-    eigs = np.linalg.eigvalsh(rho_b.matrix)
+    eigs = np.linalg.eigvalsh(rho_b)
     expected = [0.5 * (1 - 1 / math.sqrt(2)), 0.5 * (1 + 1 / math.sqrt(2))]
     assert eigs == pytest.approx(expected, abs=1e-12)
     assert eigs[0] == pytest.approx(0.146447, abs=1e-6)

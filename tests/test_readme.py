@@ -1,0 +1,16 @@
+"""Every ``python`` example block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    re.S | re.M)
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the examples write files
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
