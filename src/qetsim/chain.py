@@ -146,16 +146,17 @@ class ChainModel:
         return tuple(self.term(n) for n in range(self.n_sites))
 
     @cached_property
-    def sparse_hamiltonian(self) -> sp.csr_matrix:
-        """The Hamiltonian as one CSR matrix, real when the model is real.
+    def hamiltonian(self) -> np.ndarray | sp.csr_matrix:
+        """The Hamiltonian, real when the model is real: a dense ndarray up
+        to ``core.DENSE_DIM_LIMIT`` dimensions (8 sites), a CSR matrix above.
 
         Each site operator and each bond is a small matrix on its sorted
         sites.  Its nonzero ``(r, c)`` entries land at ``base + offset[r]``,
         ``base + offset[c]``: ``base`` runs over the basis indices with the
         piece's bits clear and ``offset`` sets those bits to the local
-        index.  All entries are summed by a single COO-to-CSR conversion.
+        index.  All entries are summed once, into a dense array or by a
+        single COO-to-CSR conversion; only the latter imports scipy.
         """
-        import scipy.sparse as sp
         n, dim = self.n_sites, 2**self.n_sites
         pieces = [((s,), self.x_ops[s] - self.shifts[s] * np.eye(2))
                   for s in range(n)]
@@ -177,32 +178,42 @@ class ChainModel:
             rows.append((offset[r, None] + base).ravel())
             cols.append((offset[c, None] + base).ravel())
             data.append(np.repeat(local[r, c], base.size))
-        ham = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim)).tocsr()
+        # rebinding drops the per-piece arrays before the matrix is built
+        rows, cols, data = (np.concatenate(p) for p in (rows, cols, data))
+        if dim <= core.DENSE_DIM_LIMIT:
+            ham = np.zeros((dim, dim), dtype=complex)
+            # an overflowing sum is left to the non-finite check of the
+            # ground state, as on the CSR route, which does not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(ham, (rows, cols), data)
+            return np.ascontiguousarray(ham.real) if not np.any(ham.imag) else ham
+        import scipy.sparse as sp
+        ham = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+        del rows, cols, data
         ham.eliminate_zeros()
         if not np.any(ham.data.imag):
-            ham = ham.real
+            ham.data = np.ascontiguousarray(ham.data.real)
         return ham
 
     def apply_hamiltonian(self, vec: np.ndarray) -> np.ndarray:
-        return self.sparse_hamiltonian @ vec
+        return core.apply_matrix(self.hamiltonian, vec)
 
     @cached_property
     def energy_scale(self) -> float:
         """Declared coupling: the largest on-site entry or bond product
-        ``|g| max|y_a| max|y_b|``; shifts are left out, so normalizing keeps it."""
+        ``|g| max|y_a| max|y_b|``; shifts are left out, so normalizing keeps it.
+        A scale too small for its tolerances is refused."""
         peaks = [np.abs(x).max() for x in self.x_ops]
         for ch in self.channels:
             for bond, g in enumerate(ch.couplings):
                 a, b = self.bond_sites(bond)
                 peaks.append(abs(g) * np.abs(ch.y_ops[a]).max()
                              * np.abs(ch.y_ops[b]).max())
-        return float(max(peaks))
+        return core.require_normal_scale("energy scale", float(max(peaks)))
 
     @cached_property
     def ground(self) -> GroundState:
-        return core.ground_state(self.sparse_hamiltonian, self.energy_scale)
+        return core.ground_state(self.hamiltonian, self.energy_scale)
 
     def site_energies(self, vectors: list[np.ndarray]) -> np.ndarray:
         """The density profile ``sum_v <v|T_m|v>`` (real part) at every site
@@ -227,7 +238,6 @@ def normalize(model: ChainModel) -> ChainModel:
     every site within 1e-9 times the energy scale; its densities are the
     input's minus ``eps_n`` times the identity on their supports.
     """
-    import scipy.sparse as sp
     gs = model.ground
     if gs.degenerate:
         raise InvariantViolation(
@@ -240,9 +250,14 @@ def normalize(model: ChainModel) -> ChainModel:
     )
     # H only changes by a multiple of the identity: reuse the spectral data.
     drop = math.fsum(eps)
-    shifted.__dict__["sparse_hamiltonian"] = (
-        model.sparse_hamiltonian
-        - drop * sp.identity(2**model.n_sites, format="csr"))
+    ham = model.hamiltonian
+    if isinstance(ham, np.ndarray):
+        ham = ham.copy()
+        np.fill_diagonal(ham, ham.diagonal() - drop)
+    else:
+        import scipy.sparse as sp
+        ham = ham - drop * sp.identity(ham.shape[0], format="csr")
+    shifted.__dict__["hamiltonian"] = ham
     shifted.__dict__["ground"] = GroundState(
         gs.energy - drop, gs.state, gs.gap, gs.degenerate
     )
@@ -419,6 +434,13 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
     )
 
 
+def is_traceless_involution(op: LocalOperator) -> bool:
+    """Hermitian, squaring to the identity and traceless, like a Pauli
+    component; ``+-1`` is only a phase and fails."""
+    return (op.is_hermitian() and op.is_involution()
+            and abs(np.trace(op.matrix)) <= core.ATOL_ALGEBRA)
+
+
 def eta_xi(model: ChainModel, sigma_a: LocalOperator,
            sigma_b: LocalOperator) -> tuple[float, float]:
     """Correlation and fluctuation coefficients of the qubit-chain output.
@@ -430,8 +452,7 @@ def eta_xi(model: ChainModel, sigma_a: LocalOperator,
     Both must be traceless Hermitian involutions (``+-1`` is only a phase).
     """
     for name, op in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
-        if not (op.is_hermitian() and op.is_involution()
-                and abs(np.trace(op.matrix)) <= core.ATOL_ALGEBRA):
+        if not is_traceless_involution(op):
             raise ValueError(f"{name} must be a traceless Hermitian involution")
     _check_separation(model, sigma_a.support[0], sigma_b.support[0])
     return _eta_xi_general(model, sigma_a, sigma_b)
@@ -608,7 +629,7 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
         e_a += np.vdot(branch, model.apply_hamiltonian(branch)).real
         if p < core.PROB_FLOOR:
             continue
-        gram = core.one_site_gram(model.sparse_hamiltonian, site_a,
+        gram = core.one_site_gram(model.hamiltonian, site_a,
                                   branch / math.sqrt(p))
         if search_space == "unitary":
             best, best_params = core.lowest_unitary_energy(gram)

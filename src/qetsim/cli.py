@@ -260,6 +260,9 @@ def cmd_chain(args) -> int:
     else:
         g_mat = core.parse_pauli_expression(args.g_b)
     g_b = core.LocalOperator((args.site_b,), g_mat)
+    if not chain.is_traceless_involution(g_b):
+        raise UsageError("--g-b must be a traceless Hermitian involution, "
+                         f"got {args.g_b!r}")
     eta, xi = chain.eta_xi(model, sigma_a, g_b)
     theta_opt, e_b_max = chain.optimal_angle(eta, xi)
     theta = _parse_theta(args.theta)

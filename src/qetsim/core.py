@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,18 @@ def check_at_most(name: str, got, bound, tol: float, scale: float = 1.0) -> None
             and got <= bound + tol * scale):
         raise InvariantViolation(
             f"{name} {got} exceeds {bound} by more than {tol * scale:.3g}")
+
+
+def require_normal_scale(name: str, scale: float) -> float:
+    """Return a declared energy scale unless its finest tolerance, ``1e-12
+    * scale``, falls below the smallest normal float: a subnormal tolerance
+    loses digits and an underflowed one is zero.  A zero scale (the zero
+    operator) is kept, since its checks are exact; NaN is refused."""
+    if scale != 0 and not ATOL_CONSTRUCT * scale >= sys.float_info.min:
+        raise ValueError(
+            f"{name} {scale!r} is too small: {ATOL_CONSTRUCT:g} times it is "
+            f"below the smallest normal float {sys.float_info.min:.4g}")
+    return scale
 
 
 def kron_all(*mats: np.ndarray) -> np.ndarray:
@@ -390,6 +403,18 @@ def kraus_pair(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q[:2, :], q[2:, :]
 
 
+def apply_matrix(op, vecs: np.ndarray) -> np.ndarray:
+    """``op @ vecs`` for an ndarray or ``scipy.sparse`` ``op`` and a vector
+    or a block of column vectors.  A real ``op`` takes complex ``vecs`` as
+    one real product on their (re, im) pairs, so ``op`` is never cast to
+    complex.  On a sparse ``op`` this is bit for bit the complex product."""
+    if np.iscomplexobj(op) or not np.iscomplexobj(vecs):
+        return op @ vecs
+    vecs = np.ascontiguousarray(vecs)
+    pairs = vecs.view(np.float64).reshape(vecs.shape[0], -1)
+    return (op @ pairs).view(complex).reshape(vecs.shape)
+
+
 def one_site_gram(op, site: int, psi: np.ndarray) -> np.ndarray:
     """The 4x4 matrix ``G[(ab),(cd)] = <E_ab psi|O|E_cd psi>``, ``E_cd = |c><d|``.
 
@@ -403,7 +428,7 @@ def one_site_gram(op, site: int, psi: np.ndarray) -> np.ndarray:
         for d in range(2):
             moved[2 * c + d, :, c, :] = part[:, d, :]
     moved = moved.reshape(4, -1)
-    gram = moved.conj() @ (op @ moved.T)
+    gram = moved.conj() @ apply_matrix(op, moved.T)
     if not np.isfinite(gram).all():
         raise InvariantViolation("cooling Gram matrix has non-finite entries")
     return gram

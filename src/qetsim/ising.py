@@ -35,6 +35,7 @@ class IsingParams:
 def _check_coupling(j: float) -> None:
     if not (math.isfinite(j) and j > 0):
         raise ValueError(f"coupling must be finite and positive, got {j}")
+    core.require_normal_scale("coupling J", j)
 
 
 def build(params: IsingParams) -> ChainModel:

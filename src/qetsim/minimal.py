@@ -46,6 +46,7 @@ class MinimalParams:
                 and math.isfinite(self.h * self.h + 2 * self.k * self.k)):
             raise ValueError(f"h and k must be finite and positive, with finite "
                              f"h*h/r and 2*k*k/r, got h={self.h}, k={self.k}")
+        core.require_normal_scale("max(h, k)", self.coupling_scale)
 
     @property
     def energy_scale(self) -> float:

@@ -14,6 +14,11 @@ from qetsim.chain import Channel, ChainModel, ChainProtocolSpec
 from qetsim.core import InvariantViolation, LocalOperator
 
 
+def as_dense(ham):
+    """A chain Hamiltonian as an ndarray, whether it is stored dense or CSR."""
+    return ham if isinstance(ham, np.ndarray) else ham.toarray()
+
+
 def minimal_as_chain(h=1.0, k=1.0):
     """The two-qubit model written as an open 2-site chain."""
     r = math.hypot(h, k)
@@ -42,14 +47,35 @@ def decoupled_chain(n=6):
 
 def test_terms_sum_to_hamiltonian(ising8):
     total = sum(core.embed_local(t, 8) for t in ising8.terms)
-    assert np.abs(total - ising8.sparse_hamiltonian.toarray()).max() < 1e-12
+    assert np.abs(total - as_dense(ising8.hamiltonian)).max() < 1e-12
 
 
 def test_apply_matches_dense(ising8):
     rng = np.random.default_rng(7)
     v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    dense = ising8.sparse_hamiltonian.toarray()
+    dense = as_dense(ising8.hamiltonian)
     assert np.abs(ising8.apply_hamiltonian(v) - dense @ v).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_real_hamiltonian_applied_on_re_im_pairs(n):
+    # a real H takes a complex vector as one real product on its (re, im)
+    # pairs: bit for bit the CSR product at 9 sites, within rounding dense
+    model = ising.build(ising.IsingParams(1.0, n))
+    ham = model.hamiltonian
+    assert not np.iscomplexobj(ham)
+    assert isinstance(ham, np.ndarray) == (n == 8)
+    rng = np.random.default_rng(n)
+    v = core.random_state(n, rng).amplitudes
+    got = model.apply_hamiltonian(v)
+    assert got.dtype == complex and got.shape == v.shape
+    if n == 9:
+        assert np.array_equal(got, ham @ v)
+    else:
+        want = ham.astype(complex) @ v
+        assert np.abs(got - want).max() <= 1e-15 * model.energy_scale
+    real = v.real.copy()
+    assert np.array_equal(model.apply_hamiltonian(real), ham @ real)
 
 
 PRIMITIVE_CASES = {
@@ -80,7 +106,7 @@ def test_site_energies_match_dense_densities(case, request):
     got = model.site_energies(vectors)
     assert got.shape == (model.n_sites,)
     assert np.abs(got - want).max() <= tol
-    ham = model.sparse_hamiltonian.toarray()
+    ham = as_dense(model.hamiltonian)
     for v in vectors:
         assert abs(model.site_energies([v]).sum()
                    - np.vdot(v, ham @ v).real) <= tol
@@ -98,39 +124,53 @@ def test_local_energy_matches_dense_region_sum(case, request):
             assert np.abs(model.local_energy(site, v) - h_local @ v).max() <= tol
 
 
-def _kron_sparse_hamiltonian(model):
-    """Reference assembly: each piece embedded by ``sp.kron`` per identity run."""
+def _kron_pieces(model):
+    """Each site and bond piece, embedded by ``sp.kron`` per identity run."""
     pieces = [{n: model.x_ops[n] - model.shifts[n] * np.eye(2)}
               for n in range(model.n_sites)]
     for ch in model.channels:
         for bond in range(model.n_bonds):
             a, b = model.bond_sites(bond)
             pieces.append({a: ch.couplings[bond] * ch.y_ops[a], b: ch.y_ops[b]})
-    rows, cols, data = [], [], []
     for factors in pieces:
         acc, done = sp.identity(1, dtype=complex, format="coo"), 0
         for site in sorted(factors):
             acc = sp.kron(acc, sp.identity(2**(site - done)), format="coo")
             acc = sp.kron(acc, sp.coo_matrix(factors[site]), format="coo")
             done = site + 1
-        acc = sp.kron(acc, sp.identity(2**(model.n_sites - done)), format="coo")
-        rows.append(acc.row)
-        cols.append(acc.col)
-        data.append(acc.data)
+        yield sp.kron(acc, sp.identity(2**(model.n_sites - done)), format="coo")
+
+
+def _kron_sparse_hamiltonian(model):
+    """Reference assembly: the kron pieces summed by one COO-to-CSR conversion."""
+    pieces = list(_kron_pieces(model))
     dim = 2**model.n_sites
     ham = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([p.data for p in pieces]),
+         (np.concatenate([p.row for p in pieces]),
+          np.concatenate([p.col for p in pieces]))),
         shape=(dim, dim)).tocsr()
     ham.eliminate_zeros()
     return ham.real if not np.any(ham.data.imag) else ham
 
 
-def _random_hermitian_chain(n, boundary, n_channels, shift_scale, seed):
-    """Unnormalized complex chain with site-dependent operators."""
+def _kron_dense_hamiltonian(model):
+    """Reference assembly: the kron pieces summed densely, in piece order."""
+    dim = 2**model.n_sites
+    ham = sum((p.toarray() for p in _kron_pieces(model)),
+              np.zeros((dim, dim), dtype=complex))
+    return ham.real if not np.any(ham.imag) else ham
+
+
+def _random_hermitian_chain(n, boundary, n_channels, shift_scale, seed,
+                            real=False):
+    """Unnormalized complex (or real) chain with site-dependent operators."""
     rng = np.random.default_rng(seed)
 
     def hermitian():
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = rng.standard_normal((2, 2))
+        if not real:
+            a = a + 1j * rng.standard_normal((2, 2))
         return a + a.conj().T
 
     n_bonds = n if boundary == "periodic" else n - 1
@@ -152,6 +192,12 @@ ASSEMBLY_CASES = {
         5, "open", tuple(np.zeros((2, 2)) for _ in range(5)),
         (Channel(tuple(core.PAULI_X for _ in range(5)), (0.0,) * 4),),
         (0.0,) * 5),
+    # 8 sites are stored dense and 9 as CSR
+    **{f"{kind}{n}_{boundary}": (
+        lambda request, n=n, boundary=boundary, kind=kind:
+        _random_hermitian_chain(n, boundary, 2, 0.5, n, real=kind == "real"))
+       for n in (8, 9) for boundary in ("open", "periodic")
+       for kind in ("real", "complex")},
 }
 
 
@@ -161,12 +207,19 @@ def test_sparse_hamiltonian_matches_kron_assembly(case, request):
     # a fresh model, so the normalized Ising chain is assembled, not shifted
     model = ChainModel(built.n_sites, built.boundary, built.x_ops,
                        built.channels, built.shifts)
-    got, want = model.sparse_hamiltonian, _kron_sparse_hamiltonian(model)
+    got = model.hamiltonian
+    dense = 2**model.n_sites <= core.DENSE_DIM_LIMIT
+    want = (_kron_dense_hamiltonian if dense else _kron_sparse_hamiltonian)(model)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-15
+    if dense:
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+        assert np.array_equal(got != 0, want != 0)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-15
+    else:
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-15
 
 
 def test_minimal_chain_already_normalized():
@@ -549,7 +602,7 @@ def test_residual_energy_minimal_model_positive():
         branch = core.apply_local(mop, g, 2)
         p = float(np.vdot(branch, branch).real)
         expect += p * _pauli_site_decomposition(
-            model.sparse_hamiltonian.toarray().astype(complex), 0, 2,
+            as_dense(model.hamiltonian).astype(complex), 0, 2,
             branch / math.sqrt(p))
     assert res.e_r == pytest.approx(expect, abs=1e-12 * model.energy_scale)
 
@@ -565,7 +618,7 @@ def test_residual_energy_oracle_random_chain():
         branch = core.apply_local(mop, g, 6)
         p = float(np.vdot(branch, branch).real)
         expect += p * _pauli_site_decomposition(
-            model.sparse_hamiltonian.toarray().astype(complex), 3, 6,
+            as_dense(model.hamiltonian).astype(complex), 3, 6,
             branch / math.sqrt(p))
     assert res.e_r == pytest.approx(expect, abs=1e-12 * model.energy_scale)
 
@@ -577,9 +630,9 @@ def test_lowest_unitary_energy_is_exact(case, request):
     else:
         model = chain.random_chain_model(6, np.random.default_rng(41),
                                          boundary="open")
-        assert np.iscomplexobj(model.sparse_hamiltonian.data)
+        assert np.iscomplexobj(model.hamiltonian)
     n, scale = model.n_sites, model.energy_scale
-    dense = model.sparse_hamiltonian.toarray().astype(complex)
+    dense = as_dense(model.hamiltonian).astype(complex)
     g = model.ground.state.amplitudes
     rng = np.random.default_rng(19)
     haar = np.array([core.haar_unitary(2, rng).ravel() for _ in range(2000)])
@@ -588,7 +641,7 @@ def test_lowest_unitary_energy_is_exact(case, request):
                 (0.6, 0.0, 0.8), site).operators:
             branch = core.apply_local(mop, g, n)
             psi = branch / np.linalg.norm(branch)
-            gram = core.one_site_gram(model.sparse_hamiltonian, site, psi)
+            gram = core.one_site_gram(model.hamiltonian, site, psi)
             low, q = core.lowest_unitary_energy(gram)
             oracle = _pauli_site_decomposition(dense, site, n, psi)
             assert abs(low - oracle) <= 1e-12 * scale
@@ -665,9 +718,9 @@ def test_cooling_gram_matches_direct_energy(case, search_space, request):
         else:
             model = chain.random_chain_model(6, np.random.default_rng(31),
                                              boundary="open")
-            assert np.iscomplexobj(model.sparse_hamiltonian.data)
+            assert np.iscomplexobj(model.hamiltonian)
             sites = (0, 3, 5)
-        op, n_sites = model.sparse_hamiltonian, model.n_sites
+        op, n_sites = model.hamiltonian, model.n_sites
         g = model.ground.state.amplitudes
         branches = [
             (site, core.apply_local(mop, g, n_sites))
@@ -834,7 +887,7 @@ def test_general_two_channel_site_dependent_model():
     model = chain.normalize(model)
 
     total = sum(core.embed_local(t, n) for t in model.terms)
-    assert np.abs(total - model.sparse_hamiltonian.toarray()).max() < 1e-12
+    assert np.abs(total - as_dense(model.hamiltonian)).max() < 1e-12
 
     meas = core.projective_pauli_measurement((0.0, 0.0, 1.0), 1)
     sigma_a = core.pauli_component((0.0, 0.0, 1.0), 1)
@@ -927,12 +980,12 @@ def krylov_calls(monkeypatch):
 
 
 def _check_against_dense(model, krylov_calls):
-    ham = model.sparse_hamiltonian
+    ham = model.hamiltonian
     assert ham.shape[0] > core.DENSE_DIM_LIMIT
     krylov_calls.clear()
     gs = core.ground_state(ham)
     assert krylov_calls == [ham.shape[0]]
-    vals, vecs = np.linalg.eigh(ham.toarray())
+    vals, vecs = np.linalg.eigh(as_dense(ham))
     assert gs.energy == pytest.approx(vals[0], abs=1e-9)
     assert gs.degenerate == (vals[1] - vals[0] < core.GAP_DEGENERATE)
     return gs, vals, vecs
@@ -941,7 +994,7 @@ def _check_against_dense(model, krylov_calls):
 @pytest.mark.parametrize("index", range(5))
 def test_krylov_matches_dense_eigh_complex(random_chains10, index, krylov_calls):
     model = random_chains10[index]
-    assert np.iscomplexobj(model.sparse_hamiltonian.data)
+    assert np.iscomplexobj(model.hamiltonian)
     gs, vals, vecs = _check_against_dense(model, krylov_calls)
     assert not gs.degenerate
     assert gs.gap == pytest.approx(vals[1] - vals[0], abs=1e-8)
@@ -952,7 +1005,7 @@ def test_krylov_matches_dense_eigh_complex(random_chains10, index, krylov_calls)
 @pytest.mark.parametrize("n", [9, 10, 11])
 def test_krylov_matches_dense_eigh_real(n, krylov_calls):
     model = ising.build(ising.IsingParams(1.0, n))
-    assert not np.iscomplexobj(model.sparse_hamiltonian.data)
+    assert not np.iscomplexobj(model.hamiltonian)
     gs, vals, vecs = _check_against_dense(model, krylov_calls)
     assert not gs.degenerate
     assert gs.gap == pytest.approx(vals[1] - vals[0], abs=1e-8)
@@ -978,7 +1031,7 @@ def test_krylov_ground_is_deterministic():
         chain.random_chain_model(13, np.random.default_rng(5), boundary="open")
         for _ in range(2))
     assert first.shifts == second.shifts
-    ham = first.sparse_hamiltonian
+    ham = first.hamiltonian
     assert core.ground_state(ham).energy == core.ground_state(ham).energy
 
 

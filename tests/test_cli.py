@@ -173,12 +173,48 @@ def test_chain_file_overflowing_hermitization_exit_one(capsys, tmp_path):
     assert "Hamiltonian has non-finite entries" in err
 
 
-@pytest.mark.parametrize("g_b", ["1", "-1"])
+@pytest.mark.parametrize("g_b", ["1", "-1", "x+y"])
 def test_chain_identity_generator_exit_one(capsys, chain_file, g_b):
     code, out, err = run_cli(capsys, "chain", "--model", chain_file,
                              "--site-a", "1", "--site-b", "5", "--g-b", g_b)
     _assert_one_line_failure(code, out, err)
-    assert "sigma_b must be a traceless Hermitian involution" in err
+    assert err == ("error: --g-b must be a traceless Hermitian involution, "
+                   f"got {g_b!r}\n")
+
+
+@pytest.mark.parametrize("command,scale", [
+    ("minimal", "5e-324"), ("minimal", "1e-310"), ("chain", "1e-310"),
+    ("ising", "1e-300")])
+def test_subnormal_tolerance_scale_exit_one(capsys, tmp_path, command, scale):
+    # 1e-12 times the declared scale would be subnormal or zero
+    if command == "minimal":
+        argv = ["--h", scale, "--k", scale]
+        name = "max(h, k)"
+    elif command == "chain":
+        path = tmp_path / "tiny.chain"
+        path.write_text(f"n_sites = 8\nboundary = periodic\nx = -{scale}*z\n"
+                        f"bond = x ; -{scale}\n")
+        argv = ["--model", str(path), "--site-a", "1", "--site-b", "5"]
+        name = "energy scale"
+    else:
+        argv = ["--J", scale, "--n", "1:3"]
+        name = "coupling J"
+    code, out, err = run_cli(capsys, command, *argv)
+    _assert_one_line_failure(code, out, err)
+    assert err.startswith(f"error: {name} ")
+    assert "below the smallest normal float" in err
+
+
+def test_smallest_normal_tolerance_scale_runs(capsys):
+    # 1e-290 keeps its tolerances normal, and the energies scale with it
+    energies = []
+    for c in ("1", "1e-290"):
+        code, out, _ = run_cli(capsys, "minimal", "--h", c, "--k", c)
+        assert code == 0
+        energies.append(load_json(out))
+    unit, tiny = energies
+    for key in ("E_A", "E_B", "E_B_max"):
+        assert abs(tiny[key] - 1e-290 * unit[key]) <= 1e-9 * 1e-290, key
 
 
 def test_ising_numeric_size_cap(capsys):
@@ -505,15 +541,20 @@ for argv in json.loads(sys.argv[1]):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = cli.main(argv)
-    loaded = [m for m in ("scipy.sparse", "scipy.optimize") if m in sys.modules]
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     report.append([code, loaded])
 print(json.dumps(report))
 """
 
 
-def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file):
+def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file,
+                                                   tmp_path):
     # one fresh interpreter, because this one has imported scipy already
     lam, p_b = profile_files
+    chain10 = tmp_path / "ten.chain"
+    chain10.write_text(
+        "n_sites = 10\nboundary = periodic\nx = -1*z\nbond = x ; -1.0\n")
+    # up to 8 sites a chain Hamiltonian is a dense ndarray
     cheap = [
         ["minimal", "--h", "1", "--k", "1"],
         ["sweep", "minimal", "--param", "k", "--range", "0.5:2:3"],
@@ -521,11 +562,14 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file):
         ["sweep", "field", "--param", "T", "--range", "2:8:3",
          "--lambda-file", lam, "--p-file", p_b],
         ["ising", "--J", "1", "--n", "1:100", "--fit"],
-    ] + [["verify", "--suite", s] for s in ("core", "minimal", "ising", "field")]
-    # these build a sparse Hamiltonian; none of them runs a numerical descent
-    sparse = [["verify", "--suite", "chain"],
-              ["ising", "--mode", "numeric", "--N", "8"],
-              ["chain", "--model", chain_file, "--site-a", "1", "--site-b", "5"]]
+        ["ising", "--mode", "numeric", "--N", "8"],
+        ["chain", "--model", chain_file, "--site-a", "1", "--site-b", "5"],
+    ] + [["verify", "--suite", s]
+         for s in ("core", "minimal", "ising", "field", "chain", "all")]
+    # a 10-site chain is a CSR matrix with a Krylov ground state; it runs
+    # no numerical descent
+    sparse = [["chain", "--model", str(chain10), "--site-a", "1",
+               "--site-b", "6"]]
     runs = cheap + sparse
     src = str(Path(qetsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -540,7 +584,9 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file):
         assert loaded == [], f"{' '.join(argv[:3])} loaded {loaded}"
     for argv, (code, loaded) in zip(sparse, report[len(cheap):]):
         assert code == 0, argv
-        assert loaded == ["scipy.sparse"], f"{' '.join(argv[:3])} loaded {loaded}"
+        assert "scipy.sparse" in loaded, f"{' '.join(argv[:3])} loaded {loaded}"
+        optimize = [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
+        assert optimize == [], f"{' '.join(argv[:3])} loaded {optimize}"
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -77,7 +77,7 @@ def test_ising8_scales_linearly(exponent):
 @example(9)
 @given(EXPONENTS)
 def test_complex_chain_scales_linearly(exponent):
-    assert np.iscomplexobj(_complex6().sparse_hamiltonian.data)
+    assert np.iscomplexobj(_complex6().hamiltonian)
     _assert_linear("complex6", exponent)
 
 
