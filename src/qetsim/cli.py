@@ -354,6 +354,8 @@ def cmd_ising(args) -> int:
 
 def cmd_field(args) -> int:
     _require(args, "lambda-file", "p-file", "T")
+    if args.refine < 0:
+        raise UsageError(f"--refine must be at least 0, got {args.refine}")
     lam = field.Profile.from_csv(args.lambda_file)
     p_b = field.Profile.from_csv(args.p_file)
     theta = _parse_theta(args.theta)

@@ -8,8 +8,14 @@ smearing profile, evaluated exactly as a sum over the lags of the sample
 autocorrelation, and is gated, in the verification suites, against an
 independent finite-mode Gaussian oracle.  The oracle evaluates the
 trapezoid transform of the profile at every mode of a discretized tower,
-all at once by a chirp-z transform, and never forms the autocorrelation,
-so the two routes share no intermediate.  Natural units throughout.
+all at once by a chirp-z transform whose FFTs take the smallest
+2^a 3^b 5^c length that holds the convolution, and never forms the
+autocorrelation, so the two routes share no intermediate.  The kernel
+double integral entering the correlation coefficient is summed over the
+samples inside the declared supports only, as one lag sum against the
+convolution of the two profiles when their grids share a spacing, so no
+field kernel allocates more than O(n_A + n_B + M) memory.  Natural units
+throughout.
 """
 
 from __future__ import annotations
@@ -24,6 +30,12 @@ from .core import check_at_most, check_close
 
 MIN_SUPPORT_SAMPLES = 64
 ZERO_TOL = 1e-14
+
+
+def _inside_support(x: np.ndarray, support: tuple[float, float]) -> np.ndarray:
+    """Mask of the grid points ``x`` inside ``support``, 1e-12 margin each side."""
+    lo, hi = support
+    return (x >= lo - 1e-12) & (x <= hi + 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +67,8 @@ class Profile:
             raise ValueError(f"support interval {self.support} is not finite")
         if not lo < hi:
             raise ValueError(f"empty support interval {self.support}")
-        x = self.x0 + self.dx * np.arange(vals.size)
-        outside = (x < lo - 1e-12) | (x > hi + 1e-12)
+        outside = ~_inside_support(
+            self.x0 + self.dx * np.arange(vals.size), (lo, hi))
         if np.any(np.abs(vals[outside]) >= ZERO_TOL):
             worst = np.abs(vals[outside]).max()
             raise ValueError(
@@ -221,6 +233,22 @@ class OracleResult:
     omega_max: float
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT factors into radix 2-5."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _mode_variance(lambda_a: Profile, n_modes: int, omega_max: float) -> float:
     """Vacuum variance sum_k omega_k |T_k|^2 domega / pi on the mode tower.
 
@@ -231,7 +259,10 @@ def _mode_variance(lambda_a: Profile, n_modes: int, omega_max: float) -> float:
     j k = (j^2 + k^2 - (k - j)^2) / 2 this is a linear convolution with the
     chirp exp(-i theta m^2 / 2), m = -(n - 1) .. M - 1, taken with three
     FFTs (Bluestein's chirp-z transform), so every mode's transform costs
-    O((n + M) log(n + M)) in total instead of n M phase products.
+    O((n + M) log(n + M)) in total instead of n M phase products.  The FFTs
+    run at the smallest 2^a 3^b 5^c length >= n + M - 1 that holds the
+    linear convolution, not the next power of two, which can be almost
+    twice as long.
     """
     dom = omega_max / n_modes
     theta = dom * lambda_a.dx
@@ -239,7 +270,7 @@ def _mode_variance(lambda_a: Profile, n_modes: int, omega_max: float) -> float:
     j = np.arange(n, dtype=float)
     a = _trapezoid_weights(n, lambda_a.dx) * lambda_a.values
     m = np.arange(-(n - 1), n_modes, dtype=float)
-    n_fft = 1 << (n + n_modes - 2).bit_length()
+    n_fft = _fft_length(n + n_modes - 1)
     spectrum = (np.fft.fft(a * np.exp(1j * theta * (j + 0.5 * j * j)), n_fft)
                 * np.fft.fft(np.exp(-0.5j * theta * m * m), n_fft))
     # |exp(i theta k^2 / 2)| = 1, so the closing chirp drops out of |T_k|^2
@@ -322,14 +353,52 @@ def _trapezoid_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
+def _weighted_support(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points inside the declared support and their weighted samples.
+
+    The trapezoid weights are those of the full grid.  Samples outside the
+    support are zero and are dropped, so no kernel value is taken at them;
+    on a uniform grid the kept samples are one contiguous run.
+    """
+    inside = np.flatnonzero(_inside_support(profile.x, profile.support))
+    keep = slice(inside[0], inside[-1] + 1)
+    weighted = _trapezoid_weights(profile.values.size, profile.dx) * profile.values
+    return profile.x[keep], weighted[keep]
+
+
+# largest kernel block, in bytes, of the direct sum on unequal spacings
+KERNEL_BLOCK_BYTES = 1 << 20
+
+
 def kernel_double_integral(spec: FieldProtocolSpec) -> float:
-    """Double integral of p_B(x) (x - y + T)^(-3) lambda_A(y)."""
-    xa, va = spec.lambda_a.x, spec.lambda_a.values
-    xb, vb = spec.p_b.x, spec.p_b.values
-    kernel = (xb[:, None] - xa[None, :] + spec.delay) ** -3.0
-    wa = _trapezoid_weights(va.size, spec.lambda_a.dx)
-    wb = _trapezoid_weights(vb.size, spec.p_b.dx)
-    return float((wb * vb) @ kernel @ (wa * va))
+    """Double integral of p_B(x) (x - y + T)^(-3) lambda_A(y).
+
+    The trapezoid rule in both variables, summed over the samples inside
+    the two declared supports only: a zero sample outside them may sit
+    where x - y + T vanishes.  When both grids share one spacing the kernel
+    depends on the index lag i - j alone, so it is evaluated once per lag
+    (n_A + n_B - 1 values) and contracted with the convolution of the
+    weighted p_B samples with the reversed weighted lambda_A samples.
+    Otherwise the direct double sum runs over row blocks of p_B whose
+    kernel blocks hold at most ``KERNEL_BLOCK_BYTES``.  Either way no
+    n_B x n_A array is formed.
+    """
+    xa, a = _weighted_support(spec.lambda_a)
+    xb, b = _weighted_support(spec.p_b)
+    if spec.lambda_a.dx == spec.p_b.dx:
+        lags = np.arange(1 - a.size, b.size)
+        kernel = (xb[0] - xa[0] + spec.delay + spec.p_b.dx * lags) ** -3.0
+        return float(np.convolve(b, a[::-1]) @ kernel)
+    rows = max(1, KERNEL_BLOCK_BYTES // (a.itemsize * a.size))
+    buffer = np.empty((min(rows, b.size), a.size))
+    total = 0.0
+    for start in range(0, b.size, rows):
+        block = buffer[:min(rows, b.size - start)]
+        np.subtract.outer(xb[start:start + rows], xa, out=block)
+        block += spec.delay
+        np.power(block, -3.0, out=block)
+        total += b[start:start + rows] @ block @ a
+    return float(total)
 
 
 @dataclass(frozen=True, eq=False)

@@ -321,6 +321,34 @@ def test_field_non_finite_delay_or_angle_exit_one(capsys, profile_files,
     assert "finite" in err
 
 
+@pytest.mark.parametrize("level", ["-1", "-3"])
+def test_field_negative_refine_exit_one(capsys, profile_files, level):
+    lam, p_b = profile_files
+    code, out, err = run_cli(capsys, "field", "--lambda-file", lam,
+                             "--p-file", p_b, "--T", "3", "--refine", level)
+    _assert_one_line_failure(code, out, err)
+    assert err == f"error: --refine must be at least 0, got {level}\n"
+
+
+@pytest.mark.parametrize("n_b", [257, 1025], ids=["equal", "unequal"])
+def test_field_grid_past_support_runs(capsys, tmp_path, n_b):
+    # lambda_A's zero sample at x = 3.5 meets p_B's x = 3.0 at T = 0.5
+    x = np.linspace(-1.0, 3.5, 1153)
+    vals = np.where((x > 0) & (x < 1), 0.1 * np.sin(math.pi * x) ** 2, 0.0)
+    wide, tight, p_b = (tmp_path / name for name in ("wide", "tight", "pb"))
+    Profile.from_points(x, vals).to_csv(wide)
+    Profile.from_points(x[256:513], vals[256:513]).to_csv(tight)
+    Profile.sin_squared(0.1, 3.0, 1.0, n_b).to_csv(p_b)
+    payloads = []
+    for lam in (wide, tight):
+        code, out, err = run_cli(capsys, "field", "--lambda-file", str(lam),
+                                 "--p-file", str(p_b), "--T", "0.5")
+        assert (code, err) == (0, "")
+        payloads.append(load_json(out))
+    for key in ("eta", "xi", "E_B_max"):
+        assert payloads[0][key] == pytest.approx(payloads[1][key], rel=1e-13)
+
+
 def test_sweep_field_non_finite_range_exit_one(capsys, profile_files):
     lam, p_b = profile_files
     code, out, err = run_cli(capsys, "sweep", "field", "--param", "T",
@@ -559,6 +587,8 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file,
         ["minimal", "--h", "1", "--k", "1"],
         ["sweep", "minimal", "--param", "k", "--range", "0.5:2:3"],
         ["field", "--lambda-file", lam, "--p-file", p_b, "--T", "3"],
+        ["field", "--lambda-file", lam, "--p-file", p_b, "--T", "3",
+         "--refine", "1", "--oracle"],
         ["sweep", "field", "--param", "T", "--range", "2:8:3",
          "--lambda-file", lam, "--p-file", p_b],
         ["ising", "--J", "1", "--n", "1:100", "--fit"],

@@ -1,6 +1,7 @@
 """Field protocol: profiles, quadrature, overlap oracle, output energy."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,16 +193,16 @@ def _direct_mode_variance(lambda_a, n_modes, omega_max):
     return variance * dom / math.pi
 
 
-def _rough_oracle_profile():
-    rng = np.random.default_rng(4097)
-    vals = np.zeros(257)
-    vals[1:-1] = 0.05 * rng.standard_normal(255)
-    return Profile(-1.3, 0.0031, vals, (-1.3, -1.3 + 0.0031 * 256))
+def _rough_profile(seed, x0, dx, n=257):
+    """Signed noise of scale 0.05, zero at both ends of its support."""
+    vals = np.zeros(n)
+    vals[1:-1] = 0.05 * np.random.default_rng(seed).standard_normal(n - 2)
+    return Profile(x0, dx, vals, (x0, x0 + dx * (n - 1)))
 
 
 MODE_VARIANCE_PROFILES = [
     sin2(0.1, x0, 1.0, n) for n in (257, 1025) for x0 in (-5.0, 0.0, 4.7)
-] + [_rough_oracle_profile()]
+] + [_rough_profile(4097, -1.3, 0.0031)]
 
 
 @pytest.mark.parametrize("n_modes", [256, 4097, 16384])
@@ -215,6 +216,24 @@ def test_mode_variance_matches_direct_sum(n_modes):
             got = field._mode_variance(prof, modes, top)
             assert got == pytest.approx(want, rel=1e-12), (
                 prof.values.size, prof.x0, modes)
+
+
+def test_fft_length_is_next_smooth_number():
+    limit = 20000
+    # every m <= 2 * limit tested for factors other than 2, 3 and 5
+    smooth = []
+    for m in range(1, 2 * limit + 1):
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        smooth.append(rest == 1)
+    nearest = 2 * limit  # smooth: 2^6 * 5^4
+    for n in range(2 * limit, 0, -1):
+        if smooth[n - 1]:
+            nearest = n
+        if n <= limit:
+            assert field._fft_length(n) == nearest, n
 
 
 def test_profile_coarsening():
@@ -240,17 +259,10 @@ def _padded_fft_overlap(profile, pad_factor):
     return math.exp(-2.0 / math.pi * weight)
 
 
-def _rough_profile():
-    rng = np.random.default_rng(20111)
-    vals = np.zeros(257)
-    vals[1:-1] = 0.05 * rng.standard_normal(255)
-    return Profile(-0.4, 1 / 256, vals, (-0.4, 0.6))
-
-
 OVERLAP_PROFILES = [
     sin2(amp, 0.0, 1.0, n)
     for n in (129, 257, 513) for amp in (0.05, 0.1, 0.25, 0.5, 1.0)
-] + [_rough_profile()]
+] + [_rough_profile(20111, -0.4, 1 / 256)]
 
 
 @pytest.mark.parametrize("pad_factor", [1, 2, 3, 16])
@@ -403,3 +415,94 @@ def test_output_energy_names_the_overflowing_profile(amp_a, amp_b, name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^profile {name} is out of range"):
             field.output_energy(spec)
+
+
+# ------------------------------------------------------- kernel double sum
+
+
+def _direct_kernel_double_integral(spec):
+    """Reference: the dense n_B x n_A trapezoid sum over the full grids.
+
+    Returns the sum and the sum of the absolute values of its terms.
+    """
+    wa = np.full(spec.lambda_a.values.size, spec.lambda_a.dx)
+    wb = np.full(spec.p_b.values.size, spec.p_b.dx)
+    wa[[0, -1]] *= 0.5
+    wb[[0, -1]] *= 0.5
+    a = wa * spec.lambda_a.values
+    b = wb * spec.p_b.values
+    kernel = (spec.p_b.x[:, None] - spec.lambda_a.x[None, :] + spec.delay) ** -3.0
+    return float(b @ kernel @ a), float(np.abs(b) @ np.abs(kernel) @ np.abs(a))
+
+
+EQUAL_SPACING_PAIRS = [
+    (sin2(0.1, 0.0, 1.0, 257), sin2(0.1, 3.0, 1.0, 257), 3.0),
+    (sin2(0.1, -5.0, 1.0, 257), sin2(0.2, -2.0, 2.0, 513), 0.5),
+    (sin2(0.3, 4.7, 1.0, 1025), sin2(0.05, 7.0, 0.5, 513), 1.25),
+    (sin2(0.1, 4.7, 0.5, 129), sin2(0.1, 5.5, 4.0, 1025), 0.0),
+]
+SIGNED_PAIRS = [
+    (_rough_profile(11, -1.3, 1 / 256), sin2(0.1, 0.5, 1.0, 257), 0.3),
+    (sin2(0.1, 0.0, 1.0, 513), _rough_profile(12, 2.0, 1 / 512, 1025), 2.0),
+    (_rough_profile(13, 0.0, 1 / 256, 300),
+     _rough_profile(14, 1.5, 1 / 256, 200), 0.7),
+]
+UNEQUAL_SPACING_PAIRS = [
+    (sin2(0.1, 0.0, 1.0, 1025), sin2(0.1, 3.0, 1.0, 769), 3.0),
+    (sin2(0.1, -5.0, 1.0, 257), sin2(0.2, -2.0, 2.0, 1025), 0.5),
+    (_rough_profile(15, -1.3, 1 / 300, 301),
+     _rough_profile(16, 0.0, 1 / 700, 1401), 0.4),
+]
+
+
+@pytest.mark.parametrize("pairs, equal", [
+    (EQUAL_SPACING_PAIRS, True), (SIGNED_PAIRS, True),
+    (UNEQUAL_SPACING_PAIRS, False),
+], ids=["equal-spacing", "signed", "unequal-spacing"])
+def test_kernel_double_integral_matches_direct_sum(pairs, equal):
+    for lam, p_b, delay in pairs:
+        assert (lam.dx == p_b.dx) == equal
+        spec = FieldProtocolSpec(lam, p_b, delay)
+        want, scale = _direct_kernel_double_integral(spec)
+        got = field.kernel_double_integral(spec)
+        assert abs(got - want) <= 1e-14 * scale, (lam.x0, p_b.x0, delay)
+
+
+def _wide_grid_smearing():
+    """0.1 sin^2(pi x) on (0, 1), sampled on a grid running out to 3.5."""
+    x = np.linspace(-1.0, 3.5, 1153)
+    inside = (x > 0.0) & (x < 1.0)
+    vals = np.where(inside, 0.1 * np.sin(math.pi * x) ** 2, 0.0)
+    tight = np.flatnonzero(inside)
+    return (Profile.from_points(x, vals),
+            Profile.from_points(x[tight[0] - 1:tight[-1] + 2],
+                                vals[tight[0] - 1:tight[-1] + 2]))
+
+
+@pytest.mark.parametrize("n_b", [257, 1025], ids=["equal", "unequal"])
+def test_wide_grid_past_support_matches_tight_grid(n_b):
+    # the zero sample of lambda_A at x = 3.5 meets p_B's x = 3.0 at T = 0.5
+    wide, tight = _wide_grid_smearing()
+    p_b = sin2(0.1, 3.0, 1.0, n_b)
+    assert (wide.dx == p_b.dx) == (n_b == 257)
+    got = field.output_energy(FieldProtocolSpec(wide, p_b, 0.5))
+    want = field.output_energy(FieldProtocolSpec(tight, p_b, 0.5))
+    for name in ("eta", "xi", "e_b_max"):
+        assert getattr(got, name) == pytest.approx(
+            getattr(want, name), rel=1e-13), name
+
+
+# the unequal-spacing sum holds one kernel block of up to 1 MB
+@pytest.mark.parametrize("n_b, limit", [(1025, 2**20), (769, 1.25 * 2**20)],
+                         ids=["equal", "unequal"])
+def test_output_energy_allocates_no_square_array(n_b, limit):
+    spec = FieldProtocolSpec(sin2(0.1, 0.0, 1.0, 1025),
+                             sin2(0.1, 3.0, 1.0, n_b), 3.0)
+    field.output_energy(spec)
+    tracemalloc.start()
+    try:
+        field.output_energy(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
