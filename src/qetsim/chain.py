@@ -8,9 +8,15 @@ Hamiltonian.  After :func:`normalize` every density has zero ground-state
 expectation and the Hamiltonian is nonnegative with ground eigenvalue zero.
 
 The local route of the dual-route energy accounting runs through two
-primitives: :meth:`ChainModel.site_energies`, the density profile of a set
-of vectors, and :meth:`ChainModel.local_energy`, the local energy around a
-site applied to a vector.  The global route runs through the Hamiltonian.
+primitives: :meth:`ChainModel.site_energies`, the density profile summed
+over a vector or a block of column vectors, and
+:meth:`ChainModel.local_energy`, the local energy around a site applied to
+a vector.  The global route runs through the Hamiltonian.
+
+One engine measures at A and feeds the announced label back: the measured
+branches are the columns of one block, rotated at every feedback site and
+checked on every route.  :func:`run_protocol` is its one-site call and
+:func:`energy_distribution` its several-site call.
 """
 
 from __future__ import annotations
@@ -215,13 +221,29 @@ class ChainModel:
     def ground(self) -> GroundState:
         return core.ground_state(self.hamiltonian, self.energy_scale)
 
-    def site_energies(self, vectors: list[np.ndarray]) -> np.ndarray:
+    def site_energies(self, vectors: np.ndarray) -> np.ndarray:
         """The density profile ``sum_v <v|T_m|v>`` (real part) at every site
-        m, the vectors summed in the order given."""
+        m, summed over ``vectors``: one vector or a block of column vectors,
+        as for :func:`core.apply_matrix`.
+
+        Each density acts on the amplitudes with its support axes moved
+        first, and the product is contracted in that order, so no vector
+        is transposed back.  The columns are taken one at a time: on a
+        two-column block the product crosses OpenBLAS's threading threshold
+        from 12 sites on, and numpy's BLAS threads then compete with
+        scipy's after a Krylov ground state.
+        """
+        vectors = np.asarray(vectors)
+        if vectors.shape[0] != 2**self.n_sites:
+            raise ValueError(f"expected {2**self.n_sites} amplitudes per vector, "
+                             f"got shape {vectors.shape}")
         out = np.zeros(self.n_sites)
-        for vec in vectors:
+        for vec in vectors.reshape(vectors.shape[0], -1).T:
+            psi = vec.reshape((2,) * self.n_sites)
             for m, term in enumerate(self.terms):
-                out[m] += np.vdot(vec, apply_local(term, vec, self.n_sites)).real
+                k = term.n_support
+                moved = np.moveaxis(psi, term.support, range(k)).reshape(2**k, -1)
+                out[m] += np.vdot(moved, term.matrix @ moved).real
         return out
 
     def local_energy(self, site: int, vec: np.ndarray) -> np.ndarray:
@@ -244,7 +266,7 @@ def normalize(model: ChainModel) -> ChainModel:
             f"degenerate ground state (gap {gs.gap:.3g}); normalization undefined"
         )
     amp = gs.state.amplitudes
-    eps = model.site_energies([amp])
+    eps = model.site_energies(amp)
     shifted = replace(
         model, shifts=tuple(s + e for s, e in zip(model.shifts, eps))
     )
@@ -264,7 +286,7 @@ def normalize(model: ChainModel) -> ChainModel:
     shifted.__dict__["terms"] = tuple(
         LocalOperator(op.support, op.matrix - e * np.eye(op.matrix.shape[0]))
         for op, e in zip(model.terms, eps))
-    for n, val in enumerate(shifted.site_energies([amp])):
+    for n, val in enumerate(shifted.site_energies(amp)):
         check_close(f"shifted density at site {n}",
                     val, 0.0, 1e-9, model.energy_scale)
     check_close("ground eigenvalue after normalization", shifted.ground.energy,
@@ -331,6 +353,8 @@ class ChainProtocolSpec:
             raise ValueError("g_b must act at site_b")
         if not self.g_b.is_hermitian():
             raise ValueError("g_b must be Hermitian")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"angle must be finite, got {self.theta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,75 +387,107 @@ def _check_separation(model: ChainModel, site_a: int, site_b: int) -> None:
             "theory assumes a wider gap", stacklevel=3)
 
 
-def _bounded_unitary(g_b: LocalOperator, angle: float) -> np.ndarray:
-    """exp(-i angle G) for a Hermitian 2x2 generator."""
-    vals, vecs = np.linalg.eigh(g_b.matrix)
-    return (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
+def _branches(model: ChainModel, measurement: PovmMeasurement
+              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The measured branches ``M_a g`` of the ground state as the columns of
+    one block, their probabilities and the input energy by the global route,
+    ``sum_a <M_a g|H|M_a g>``."""
+    g = model.ground.state.amplitudes
+    block = np.stack([apply_local(mop, g, model.n_sites)
+                      for _, mop in measurement.operators], axis=1)
+    probs = np.einsum("ik,ik->k", block.conj(), block).real
+    return block, probs, float(np.vdot(block, model.apply_hamiltonian(block)).real)
+
+
+def _rotate_columns(columns: np.ndarray, site: int,
+                    gates: np.ndarray) -> np.ndarray:
+    """Column k of ``columns`` with the 2x2 matrix ``gates[k]`` at ``site``."""
+    out = np.empty_like(columns)
+    for k, gate in enumerate(gates):
+        out[:, k] = (gate @ columns[:, k].reshape(2**site, 2, -1)).reshape(-1)
+    return out
+
+
+def _feedback(model: ChainModel, measurement: PovmMeasurement,
+              feedback: tuple[tuple[LocalOperator, float], ...]):
+    """Measure at A, then rotate each branch at every feedback site; check
+    every energy route.
+
+    ``feedback`` holds one ``(G, theta)`` per site, a Hermitian one-site
+    generator and an angle: the branch of label ``a`` is rotated by
+    ``U_a = exp(-i a theta G)`` there.  Checked within 1e-10 times the
+    energy scale: the input energy around A by its densities against the
+    global route; every density two or more sites from A at zero after the
+    measurement; at each feedback site, the extracted energy by the density
+    profile against the route through the measurement elements,
+    ``-sum_a <Pi_a g|U_a^H H_site U_a|g>`` with ``Pi_a = M_a^H M_a``; their
+    sum against the drop of the total energy; the sum at most the input
+    energy.
+
+    Returns the input energy, the energy extracted at each site, the total
+    energy left, the density profile, the rotated branches and their
+    probabilities.
+    """
+    if model.ground.degenerate:
+        raise InvariantViolation("degenerate ground state; protocol undefined")
+    scale, site_a = model.energy_scale, measurement.site
+    block, probs, e_a_global = _branches(model, measurement)
+    measured = model.site_energies(block)
+    e_a = float(sum(measured[m] for m in model.region(site_a)))
+    check_close("input energy around A", e_a, e_a_global, 1e-10, scale)
+    # densities away from A must stay exactly at zero after the measurement
+    for m, val in enumerate(measured):
+        if model.separation(m, site_a) >= 2:
+            check_close(f"measured density at site {m}", val, 0.0, 1e-10, scale)
+
+    g = model.ground.state.amplitudes
+    ground = np.broadcast_to(g[:, None], block.shape)
+    pi_g = np.stack([apply_local(LocalOperator(
+        (site_a,), mop.matrix.conj().T @ mop.matrix), g, model.n_sites)
+        for _, mop in measurement.operators], axis=1)
+    labels = np.array(measurement.labels)
+    density_route = []
+    for op, theta in feedback:
+        site = op.support[0]
+        vals, vecs = np.linalg.eigh(op.matrix)
+        phases = np.exp(-1j * np.multiply.outer(labels * theta, vals))
+        gates = (vecs * phases[:, None, :]) @ vecs.conj().T
+        block = _rotate_columns(block, site, gates)
+        # <Pi_a g|U_a^H H_site U_a|g> = <U_a Pi_a g|H_site U_a g>
+        pairs = zip(_rotate_columns(pi_g, site, gates).T,
+                    _rotate_columns(ground, site, gates).T)
+        density_route.append(-sum(np.vdot(p, model.local_energy(site, u_g)).real
+                                  for p, u_g in pairs))
+    residual = float(np.vdot(block, model.apply_hamiltonian(block)).real)
+    profile = model.site_energies(block)
+    extracted = tuple(-float(sum(profile[m] for m in model.region(op.support[0])))
+                      for op, _ in feedback)
+    for (op, _), e, d in zip(feedback, extracted, density_route):
+        check_close(f"energy extracted at site {op.support[0]} by the density "
+                    "profile", e, d, 1e-10, scale)
+    total = sum(extracted)
+    check_close("sum of the site energies", total, e_a - residual, 1e-10, scale)
+    check_at_most("extracted energy", total, e_a, 1e-10, scale)
+    return e_a, extracted, residual, profile, block, probs
 
 
 def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolResult:
-    """Measure at A, rotate at B by the announced label; verify both routes.
+    """Measure at A, rotate at B by the announced label; verify every route.
 
-    Input energy is computed from the local densities around A and checked
-    against the global expectation; output energy is computed both from the
-    post-operation state and from the B-side density route, which must agree
-    within 1e-10 times the model's energy scale.
+    The one-site case of the feedback engine: the output energy is read
+    from the density profile around B and checked against the route
+    through the measurement elements and against the drop of the total
+    energy, within 1e-10 times the model's energy scale.
     """
     _check_separation(model, spec.site_a, spec.site_b)
-    gs = model.ground
-    if gs.degenerate:
-        raise InvariantViolation("degenerate ground state; protocol undefined")
-    g = gs.state.amplitudes
-    n = model.n_sites
-
-    e_a_global = 0.0
-    records = []
-    branches = []
-    unitaries = []
-    rotated_branches = []
-    for label, mop in spec.measurement.operators:
-        branch = apply_local(mop, g, n)
-        p = float(np.vdot(branch, branch).real)
-        branches.append(branch)
-        e_a_global += np.vdot(branch, model.apply_hamiltonian(branch)).real
-        u = LocalOperator((spec.site_b,), _bounded_unitary(spec.g_b, label * spec.theta))
-        unitaries.append(u)
-        rotated = apply_local(u, branch, n)
-        rotated_branches.append(rotated)
-        if p > core.PROB_FLOOR:
-            records.append(Outcome(label, p, StateVector(n, rotated / math.sqrt(p))))
-    scale = model.energy_scale
-    measured = model.site_energies(branches)
-    e_a = sum(measured[m] for m in model.region(spec.site_a))
-    check_close("input energy around A", e_a, e_a_global, 1e-10, scale)
-
-    # densities away from A must stay exactly at zero after the measurement
-    for m, val in enumerate(measured):
-        if model.separation(m, spec.site_a) >= 2:
-            check_close(f"measured density at site {m}", val, 0.0, 1e-10, scale)
-
-    total_after = sum(np.vdot(r, model.apply_hamiltonian(r)).real
-                      for r in rotated_branches)
-    site_energies = model.site_energies(rotated_branches)
-    local_b = float(sum(site_energies[m] for m in model.region(spec.site_b)))
-    e_b_state_route = e_a - total_after
-
-    # independent route through the measurement elements
-    e_b_density_route = 0.0
-    for (_, mop), u in zip(spec.measurement.operators, unitaries):
-        pi_op = LocalOperator((spec.site_a,),
-                              mop.matrix.conj().T @ mop.matrix)
-        hw = model.local_energy(spec.site_b, apply_local(u, g, n))
-        hw = apply_local(LocalOperator((spec.site_b,), u.matrix.conj().T), hw, n)
-        e_b_density_route -= np.vdot(apply_local(pi_op, g, n), hw).real
-    check_close("output energy by the state route", e_b_state_route,
-                e_b_density_route, 1e-10, scale)
-    e_b = e_b_state_route
-    check_close("local energy at B", local_b, -e_b, 1e-10, scale)
-    return ChainProtocolResult(
-        float(e_a), float(e_b), spec.theta, tuple(records),
-        tuple(float(v) for v in site_energies), local_b,
-    )
+    e_a, (e_b,), _, profile, block, probs = _feedback(
+        model, spec.measurement, ((spec.g_b, spec.theta),))
+    records = tuple(
+        Outcome(label, float(p), StateVector(model.n_sites, col / math.sqrt(p)))
+        for label, col, p in zip(spec.measurement.labels, block.T, probs)
+        if p > core.PROB_FLOOR)
+    return ChainProtocolResult(e_a, e_b, spec.theta, records,
+                               tuple(float(v) for v in profile), -e_b)
 
 
 def is_traceless_involution(op: LocalOperator) -> bool:
@@ -464,16 +520,21 @@ def _global_eta_xi(model: ChainModel, d_a: LocalOperator,
     """η and Ξ of generators ``G_i`` at one site, by the global route.
 
     ``eta[i] = <g|D_A i[H, G_i]|g>`` and ``xi[i, j] = <G_i g|H|G_j g>``,
-    both complex, with ``h_g = H g`` for the ground state ``g``.
+    both complex, with ``h_g = H g`` for the ground state ``g``.  The
+    vectors ``G_i g`` are the columns of one block ``W``, so ``H`` is
+    applied once: ``xi = W^H (H W)`` and ``eta = i (D_A g)^H (H W - G h_g)``,
+    taken column by column.
     """
     g = model.ground.state.amplitudes
     n = model.n_sites
-    ws = [apply_local(op, g, n) for op in gens]
-    hws = [model.apply_hamiltonian(w) for w in ws]
-    eta = np.array([
-        np.vdot(g, apply_local(d_a, 1j * (hw - apply_local(op, h_g, n)), n))
-        for op, hw in zip(gens, hws)])
-    xi = np.array([[np.vdot(w, hw) for hw in hws] for w in ws])
+    w = np.stack([apply_local(op, g, n) for op in gens], axis=1)
+    hw = model.apply_hamiltonian(w)
+    # D_A is Hermitian, so <g|D_A x> = <D_A g|x>; column by column, as in
+    # ChainModel.site_energies
+    d_g = apply_local(d_a, g, n)
+    eta = np.array([1j * np.vdot(d_g, col - apply_local(op, h_g, n))
+                    for op, col in zip(gens, hw.T)])
+    xi = np.array([[np.vdot(a, b) for b in hw.T] for a in w.T])
     return eta, xi
 
 
@@ -614,19 +675,12 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
         raise ValueError(f"unknown search space {search_space!r}")
     if measurement.site != site_a:
         raise ValueError("measurement must act at site_a")
-    gs = model.ground
-    g = gs.state.amplitudes
-    n = model.n_sites
     rng = np.random.default_rng(seed)
-
-    e_a = 0.0
+    block, probs, e_a = _branches(model, measurement)
     e_r = 0.0
     coolers = []
     converged = True
-    for label, mop in measurement.operators:
-        branch = apply_local(mop, g, n)
-        p = float(np.vdot(branch, branch).real)
-        e_a += np.vdot(branch, model.apply_hamiltonian(branch)).real
+    for label, branch, p in zip(measurement.labels, block.T, probs):
         if p < core.PROB_FLOOR:
             continue
         gram = core.one_site_gram(model.hamiltonian, site_a,
@@ -668,9 +722,12 @@ def energy_distribution(model: ChainModel, site_a: int,
     """Simultaneous label-dependent extraction at several sites.
 
     Each site rotates about its sigma_y axis.  Every extraction region must
-    be disjoint from the others and from the measured site.  The per-site
-    energies sum to the drop of the total, which can never exceed the
-    input energy.
+    be disjoint from the others and from the measured site.  The run is
+    the feedback engine of :func:`run_protocol` with one rotation per site,
+    so it checks the same routes: the input energy around A, the zero
+    densities away from A, each site's energy against the route through
+    the measurement elements, and their sum against the drop of the total,
+    which can never exceed the input energy.
     """
     if measurement.site != site_a:
         raise ValueError("measurement must act at site_a")
@@ -697,30 +754,16 @@ def energy_distribution(model: ChainModel, site_a: int,
         thetas = tuple(float(t) for t in thetas)
         if len(thetas) != len(sites):
             raise ValueError("need one angle per extraction site")
+        for theta in thetas:
+            if not math.isfinite(theta):
+                raise ValueError(f"angle must be finite, got {theta}")
 
-    g = model.ground.state.amplitudes
-    n = model.n_sites
-    e_a = 0.0
-    site_energy = {s: 0.0 for s in sites}
-    residual_total = 0.0
-    for label, mop in measurement.operators:
-        # apply_local rejects a measured site out of range, also with no sites
-        branch = apply_local(mop, g, n)
-        e_a += np.vdot(branch, model.apply_hamiltonian(branch)).real
-        w = branch
-        for s, op, theta in zip(sites, g_ops, thetas):
-            u = LocalOperator((s,), _bounded_unitary(op, label * theta))
-            w = apply_local(u, w, n)
-        residual_total += np.vdot(w, model.apply_hamiltonian(w)).real
-        for s in sites:
-            site_energy[s] += np.vdot(w, model.local_energy(s, w)).real
-    entries = tuple((s, float(t), -site_energy[s])
-                    for s, t in zip(sites, thetas))
-    total = float(sum(e for _, _, e in entries))
-    check_close("sum of the site energies", total, e_a - residual_total, 1e-10,
-                model.energy_scale)
-    check_at_most("extracted energy", total, e_a, 1e-10, model.energy_scale)
-    return DistributionResult(float(e_a), entries, total, float(residual_total))
+    # the engine's apply_local rejects a measured site out of range, also
+    # with no extraction sites
+    e_a, extracted, residual, *_ = _feedback(
+        model, measurement, tuple(zip(g_ops, thetas)))
+    return DistributionResult(e_a, tuple(zip(sites, thetas, extracted)),
+                              float(sum(extracted)), residual)
 
 
 def random_chain_model(n_sites: int, rng: np.random.Generator,

@@ -158,7 +158,7 @@ def _suite_chain_inner(seed: int) -> list[CheckResult]:
 
     model = ising.build(ising.IsingParams(1.0, 8))
     amp = model.ground.state.amplitudes
-    worst = np.max(np.abs(model.site_energies([amp])))
+    worst = np.max(np.abs(model.site_energies(amp)))
     _check(out, "chain", "normalization", worst < 1e-9 and
            abs(model.ground.energy) < 1e-9,
            f"max density {worst:.3e} ground {model.ground.energy:.3e}")

@@ -103,12 +103,14 @@ def test_site_energies_match_dense_densities(case, request):
     model, vectors, dense = _primitive_inputs(case, request)
     tol = 1e-12 * model.energy_scale
     want = [sum(np.vdot(v, t @ v).real for v in vectors) for t in dense]
-    got = model.site_energies(vectors)
+    got = model.site_energies(np.stack(vectors, axis=1))
     assert got.shape == (model.n_sites,)
     assert np.abs(got - want).max() <= tol
+    with pytest.raises(ValueError, match="amplitudes per vector"):
+        model.site_energies(vectors)  # vectors as rows, not columns
     ham = as_dense(model.hamiltonian)
     for v in vectors:
-        assert abs(model.site_energies([v]).sum()
+        assert abs(model.site_energies(v).sum()
                    - np.vdot(v, ham @ v).real) <= tol
 
 
@@ -227,11 +229,11 @@ def test_minimal_chain_already_normalized():
     amp = model.ground.state.amplitudes
     shifted = chain.normalize(model)
     assert max(abs(s) for s in shifted.shifts) < 1e-12
-    assert np.abs(model.site_energies([amp])).max() < 1e-12
+    assert np.abs(model.site_energies(amp)).max() < 1e-12
 
 
 def test_normalize_ising(ising8):
-    eps = ising8.site_energies([ising8.ground.state.amplitudes])
+    eps = ising8.site_energies(ising8.ground.state.amplitudes)
     assert np.abs(eps).max() < 1e-9
     assert abs(ising8.ground.energy) < 1e-9
     assert eps.sum() < 1e-9
@@ -265,7 +267,7 @@ def test_nonnegative_after_normalize(random_chains10):
     for model in random_chains10:
         assert model.ground.energy > -1e-9
         amp = model.ground.state.amplitudes
-        assert np.abs(model.site_energies([amp])).max() < 1e-9
+        assert np.abs(model.site_energies(amp)).max() < 1e-9
 
 
 # ------------------------------------------------------- density witnesses
@@ -276,7 +278,7 @@ def test_witness_negative_on_critical_chain(ising8):
         w = chain.negative_density_witness(ising8, n)
         assert w.epsilon_minus < 0
         assert w.factorization_broken
-        val = ising8.site_energies([w.witness_state.amplitudes])[n]
+        val = ising8.site_energies(w.witness_state.amplitudes)[n]
         assert abs(val - w.epsilon_minus) < 1e-10
 
 
@@ -795,7 +797,52 @@ def test_distribution_single_site_reduces_to_protocol(ising12):
     run = chain.run_protocol(
         ising12, ChainProtocolSpec(0, 6, meas, g_b, theta_opt))
     dist = chain.energy_distribution(ising12, 0, meas, (6,), (theta_opt,))
-    assert dist.entries[0][2] == pytest.approx(run.e_b, abs=1e-12)
+    # one engine: a one-site distribution is the protocol run itself
+    assert dist.entries[0][2] == run.e_b
+    assert dist.e_a == run.e_a
+
+
+@pytest.mark.parametrize("sites, thetas", [
+    ((3, 9), "auto"),
+    ((3, 6, 9), (0.02, -0.3, 0.7)),
+])
+def test_distribution_entries_sum_to_total_drop(ising12, sites, thetas):
+    meas = core.projective_pauli_measurement((0.6, 0.0, 0.8), 0)
+    dist = chain.energy_distribution(ising12, 0, meas, sites, thetas)
+    tol = 1e-12 * ising12.energy_scale
+    energies = [e for _, _, e in dist.entries]
+    assert [s for s, _, _ in dist.entries] == list(sites)
+    assert abs(math.fsum(energies) - (dist.e_a - dist.residual_total)) <= tol
+    assert dist.total_extracted == sum(energies)
+
+
+NONFINITE_ANGLES = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("theta", NONFINITE_ANGLES)
+def test_protocol_refuses_nonfinite_angle(ising8, theta):
+    with pytest.raises(ValueError, match=f"^angle must be finite, got {theta}$"):
+        chain.run_protocol(
+            ising8, ChainProtocolSpec(0, 4, _X_AT_0, _Y_AT_4, theta))
+
+
+@pytest.mark.parametrize("theta", NONFINITE_ANGLES)
+def test_distribution_refuses_nonfinite_angle(ising8, theta):
+    with pytest.raises(ValueError, match=f"^angle must be finite, got {theta}$"):
+        chain.energy_distribution(ising8, 0, _X_AT_0, (4,), (theta,))
+
+
+def test_distribution_checks_input_energy():
+    # a constant added to the density at A moves the local input energy
+    # but not the Hamiltonian, so the two input routes disagree
+    model = ising.build(ising.IsingParams(1.0, 8))
+    terms = list(model.terms)
+    term = terms[0]
+    terms[0] = LocalOperator(
+        term.support, term.matrix + 1e-6 * np.eye(term.matrix.shape[0]))
+    model.__dict__["terms"] = tuple(terms)
+    with pytest.raises(InvariantViolation, match="input energy around A"):
+        chain.energy_distribution(model, 0, _X_AT_0, (4,), (0.1,))
 
 
 def test_distribution_symmetric_sites_equal(ising12):
@@ -900,7 +947,7 @@ def test_general_two_channel_site_dependent_model():
     assert run.local_energy_b == pytest.approx(-run.e_b, abs=1e-10)
 
     w = chain.negative_density_witness(model, 3)
-    val = model.site_energies([w.witness_state.amplitudes])[3]
+    val = model.site_energies(w.witness_state.amplitudes)[3]
     assert abs(val - w.epsilon_minus) < 1e-10
 
 

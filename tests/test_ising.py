@@ -26,7 +26,7 @@ def test_coupling_must_be_finite(j):
 
 def test_build_normalized(ising8):
     amp = ising8.ground.state.amplitudes
-    assert np.abs(ising8.site_energies([amp])).max() < 1e-9
+    assert np.abs(ising8.site_energies(amp)).max() < 1e-9
 
 
 def test_shift_uniform_and_positive(ising8, ising12):
