@@ -649,9 +649,6 @@ class ResidualEnergyResult:
     e_r: float
     e_a: float
     e_b_max: float | None
-    search_space: str
-    coolers: tuple[tuple[float, tuple[float, ...]], ...]
-    converged: bool
 
 
 def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement,
@@ -661,38 +658,33 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
 
     The objective separates over measurement labels: each outcome's branch
     gives a 4x4 Gram form (:func:`core.one_site_gram`), so the search never
-    touches the full state.  The ``"unitary"`` minimum is exact
-    (:func:`core.lowest_unitary_energy`, one 4x4 eigendecomposition; each
-    cooler is ``(label, (q0, q1, q2, q3))``, a :func:`core.su2_unitary`
-    quaternion).  ``"kraus2"`` runs
-    :func:`core.minimize_one_site` with ``n_starts`` draws from one
-    generator seeded by ``seed`` and the model's energy scale; ``n_starts``
-    and ``seed`` drive only that search.  The result upper-bounds the true
-    minimum over channels, so ``E_B <= E_r <= E_A`` is certified before
-    returning; a NaN on either side fails it.
+    touches the full state.  Both minima are exact.  ``"unitary"`` is
+    :func:`core.lowest_unitary_energy`, one 4x4 eigendecomposition.
+    ``"kraus2"`` ranges over all channels at A, which two Kraus operators
+    reach: :func:`core.lowest_channel_energy` solves its 4x4 semidefinite
+    program, and its upper and dual bounds must agree within 1e-10 times
+    the energy scale.  No search draws random numbers: ``n_starts`` and
+    ``seed`` are accepted and ignored.  ``E_B <= E_r <= E_A`` is certified
+    before returning; a NaN on either side fails it.
     """
     if search_space not in ("unitary", "kraus2"):
         raise ValueError(f"unknown search space {search_space!r}")
     if measurement.site != site_a:
         raise ValueError("measurement must act at site_a")
-    rng = np.random.default_rng(seed)
     block, probs, e_a = _branches(model, measurement)
     e_r = 0.0
-    coolers = []
-    converged = True
-    for label, branch, p in zip(measurement.labels, block.T, probs):
+    for branch, p in zip(block.T, probs):
         if p < core.PROB_FLOOR:
             continue
         gram = core.one_site_gram(model.hamiltonian, site_a,
                                   branch / math.sqrt(p))
         if search_space == "unitary":
-            best, best_params = core.lowest_unitary_energy(gram)
+            best = core.lowest_unitary_energy(gram)[0]
         else:
-            best, best_params, ok = core.minimize_one_site(
-                gram, n_starts, rng, model.energy_scale)
-            converged = converged and ok
+            best, lower = core.lowest_channel_energy(gram, model.energy_scale)
+            check_close("channel cooling dual bound", best, lower, 1e-10,
+                        model.energy_scale)
         e_r += p * best
-        coolers.append((label, tuple(float(v) for v in best_params)))
 
     try:
         e_b_max, _ = best_teleportable_energy(model, measurement)
@@ -702,8 +694,7 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
     if e_b_max is not None:
         check_at_most("teleportable energy", e_b_max, e_r, 1e-9,
                       model.energy_scale)
-    return ResidualEnergyResult(float(e_r), float(e_a), e_b_max,
-                                search_space, tuple(coolers), converged)
+    return ResidualEnergyResult(float(e_r), float(e_a), e_b_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -741,15 +732,14 @@ def energy_distribution(model: ChainModel, site_a: int,
                 raise ValueError(f"extraction regions at {s} and {t} overlap")
     g_ops = tuple(LocalOperator((s,), core.PAULI_Y) for s in sites)
 
-    if thetas == "auto":
-        resolved = []
-        d_a = measurement_bias_operator(measurement)
+    if isinstance(thetas, str):
+        if thetas != "auto":
+            raise ValueError(f"angles must be numbers or 'auto', got {thetas!r}")
         if sorted(measurement.labels) != [-1.0, 1.0]:
             raise ValueError("automatic angles need labels -1 and +1")
-        for s, op in zip(sites, g_ops):
-            eta, xi = _eta_xi_general(model, d_a, op)
-            resolved.append(optimal_angle(eta, xi)[0])
-        thetas = tuple(resolved)
+        d_a = measurement_bias_operator(measurement)
+        thetas = tuple(optimal_angle(*_eta_xi_general(model, d_a, op))[0]
+                       for op in g_ops)
     else:
         thetas = tuple(float(t) for t in thetas)
         if len(thetas) != len(sites):

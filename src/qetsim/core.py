@@ -1,5 +1,10 @@
 """Finite-dimensional qubit toolkit: states, operators, measurements, spectra.
 
+One-site cooling is exact: the lowest energy over SU(2) is one 4x4
+eigenvalue (:func:`lowest_unitary_energy`), and over all channels one 4x4
+semidefinite program whose dual bound certifies it
+(:func:`lowest_channel_energy`); neither draws random numbers.
+
 Conventions
 -----------
 Site 0 is the most significant bit of the amplitude index, so a basis state
@@ -395,14 +400,6 @@ def projective_pauli_measurement(u, site: int) -> PovmMeasurement:
     return PovmMeasurement(site, tuple(ops))
 
 
-def kraus_pair(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two 2x2 Kraus operators from 16 reals, complete by construction."""
-    raw = params.reshape(8, 2)
-    stacked = raw[0::2] + 1j * raw[1::2]
-    q, _ = np.linalg.qr(stacked)
-    return q[:2, :], q[2:, :]
-
-
 def apply_matrix(op, vecs: np.ndarray) -> np.ndarray:
     """``op @ vecs`` for an ndarray or ``scipy.sparse`` ``op`` and a vector
     or a block of column vectors.  A real ``op`` takes complex ``vecs`` as
@@ -457,47 +454,73 @@ def lowest_unitary_energy(gram: np.ndarray) -> tuple[float, np.ndarray]:
     With ``vec(U) = B q`` (``B`` the columns ``vec(I)``, ``vec(-iX)``,
     ``vec(-iY)``, ``vec(-iZ)``, ``q`` a real unit 4-vector) the energy is
     ``q^T Re(B^H G B) q``, so its minimum over SU(2) is the lowest
-    eigenvalue of that real symmetric 4x4 matrix.  The minimizing ``q``
-    is returned; :func:`su2_unitary` turns it into the matrix.
+    eigenvalue of that real symmetric 4x4 matrix.  One minimizing ``q`` is
+    returned, an arbitrary one when that eigenvalue repeats (as on
+    projective branches); :func:`su2_unitary` turns it into the matrix.
     """
     form = (_SU2_BASIS.conj().T @ gram @ _SU2_BASIS).real
     vals, vecs = np.linalg.eigh(0.5 * (form + form.T))
     return float(vals[0]), vecs[:, 0]
 
 
-def minimize_one_site(gram: np.ndarray, n_starts: int,
-                      rng: np.random.Generator, scale: float
-                      ) -> tuple[float, np.ndarray, bool]:
-    """(lowest Kraus-pair :func:`one_site_energy`, its parameters, converged).
+# I (x) sigma_k for sigma_0 = I, X, Y, Z: the slack of the channel-cooling
+# dual is G - sum_k y_k (I (x) sigma_k), acting on the Kraus input index.
+_PAULI_BASIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+_INPUT_PAULIS = np.stack([np.kron(PAULI_I, s) for s in _PAULI_BASIS])
 
-    The parameters are the 16 reals of :func:`kraus_pair`.  The identity
-    pair and ``n_starts`` draws from ``rng`` are ranked; Nelder-Mead runs
-    from the best ``max(4, n_starts // 2)`` with ``fatol`` 1e-12 times
-    ``scale``, the energy scale of the operator behind ``gram``.  The
-    unitary minimum is exact: :func:`lowest_unitary_energy`.
+
+def lowest_channel_energy(gram: np.ndarray, scale: float) -> tuple[float, float]:
+    """(upper, lower): bounds on the minimum of :func:`one_site_energy` over
+    all one-site channels, the Kraus sets with ``sum_k K_k^H K_k = I``.
+
+    With ``C = sum_k vec(K_k) vec(K_k)^H`` the energy is ``Tr(G C)``, and
+    trace preservation reads ``sum_a C[(a,b),(a,d)] = delta_bd``.  The dual
+    is ``max Tr Y`` subject to ``S = G - I (x) Y >= 0`` over Hermitian 2x2
+    ``Y``.  A damped-Newton log-barrier method solves it, starting at
+    ``Y = (lambda_min(G) - scale) I`` and stopping once the barrier gap
+    ``4/t`` is at most ``1e-12 * scale``; ``scale`` is the energy scale of
+    the operator behind ``gram``, and a zero scale keeps the start point.
+
+    ``lower`` is ``Tr Y``, lowered by any negative eigenvalue of ``S``.
+    ``upper`` is the lower of the exact :func:`lowest_unitary_energy` and a
+    two-Kraus channel from complementary slackness: ``C = V Z V^H`` on the
+    two lowest eigenvectors ``V`` of ``S``, with ``Z`` solving the real 4x4
+    trace-preserving system, used when its Kraus set is complete within
+    1e-12.  Two Kraus operators reach every extreme qubit channel (Ruskai,
+    Szarek and Werner 2002), so ``upper - lower`` certifies the minimum.
     """
-    from scipy.optimize import minimize
-    ident = np.zeros(16)
-    ident[0] = ident[5] = 1.0  # stacked identity Kraus pair
-
-    def objective(params):
-        return one_site_energy(gram, kraus_pair(params))
-
-    starts = [ident] + [rng.uniform(0, 2 * math.pi, 16)
-                        for _ in range(n_starts)]
-    starts.sort(key=objective)
-    best = math.inf
-    best_params = starts[0]
-    converged = True
-    for start in starts[:max(4, n_starts // 2)]:
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-12 * scale,
-                                "maxiter": 4000})
-        if res.fun < best:
-            best = float(res.fun)
-            best_params = np.asarray(res.x)
-        converged = converged and bool(res.success)
-    return best, best_params, converged
+    upper = lowest_unitary_energy(gram)[0]
+    y = np.array([np.linalg.eigvalsh(gram)[0] - scale, 0.0, 0.0, 0.0])
+    gap = 4.0 * scale
+    while gap > 1e-12 * scale:
+        gap /= 20.0
+        for _ in range(50):
+            # Newton step on -t Tr Y - log det S, t = 4/gap, Tr Y = 2 y_0,
+            # in units of scale
+            w = np.linalg.inv((gram - np.tensordot(y, _INPUT_PAULIS, 1)) / scale)
+            wa = w @ _INPUT_PAULIS
+            grad = np.einsum("kii->k", wa).real
+            grad[0] -= 8.0 * scale / gap
+            step = -np.linalg.solve(np.einsum("kij,lji->kl", wa, wa).real, grad)
+            decrement = -grad @ step
+            if decrement <= 1e-4:
+                break
+            y += scale * step / (1.0 + math.sqrt(decrement))
+    vals, vecs = np.linalg.eigh(gram - np.tensordot(y, _INPUT_PAULIS, 1))
+    lower = 2.0 * (y[0] + min(vals[0], 0.0))
+    v = vecs[:, :2]
+    traced = [np.einsum("abad->bd", (v @ s @ v.conj().T).reshape(2, 2, 2, 2))
+              for s in _PAULI_BASIS]
+    system = np.einsum("kdb,jbd->kj", _PAULI_BASIS, traced).real
+    # singular on some exactly structured branches (an uncoupled chain's);
+    # the completeness test below then decides
+    z = np.linalg.lstsq(system, [2.0, 0.0, 0.0, 0.0], rcond=None)[0]
+    zvals, zvecs = np.linalg.eigh(np.tensordot(z, _PAULI_BASIS, 1))
+    kraus = (v @ (zvecs * np.sqrt(np.clip(zvals, 0.0, None)))).T.reshape(2, 2, 2)
+    complete = np.einsum("kab,kac->bc", kraus.conj(), kraus)
+    if np.abs(complete - PAULI_I).max() <= ATOL_CONSTRUCT:
+        upper = min(upper, one_site_energy(gram, kraus))
+    return upper, float(lower)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -187,7 +187,7 @@ def _suite_chain_inner(seed: int) -> list[CheckResult]:
     _check(out, "chain", "negative-density", w.epsilon_minus < 0
            and w.factorization_broken, f"eps_- {w.epsilon_minus:.6f}")
 
-    res = chain.residual_energy(model, 1, meas, n_starts=6, seed=seed)
+    res = chain.residual_energy(model, 1, meas)
     ok = (res.e_b_max is not None and res.e_b_max <= res.e_r + 1e-9
           and res.e_r <= res.e_a + 1e-12 and res.e_r > 0)
     _check(out, "chain", "residual-ordering", ok,

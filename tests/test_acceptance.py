@@ -124,12 +124,12 @@ def test_criterion_07_energy_ordering(ising8, random_chains10):
     with criterion(7, "energy ordering and distribution bound"):
         rng = np.random.default_rng(1007)
         meas = core.projective_pauli_measurement((1.0, 0, 0), 1)
-        res = chain.residual_energy(ising8, 1, meas, n_starts=8)
+        res = chain.residual_energy(ising8, 1, meas)
         assert res.e_b_max is not None
         assert -1e-12 <= res.e_b_max <= res.e_r + 1e-9 <= res.e_a + 1e-9 + 1e-12
         for model in random_chains10[:2]:
             m0 = core.projective_pauli_measurement((0.0, 0, 1.0), 0)
-            r = chain.residual_energy(model, 0, m0, n_starts=6)
+            r = chain.residual_energy(model, 0, m0)
             assert r.e_b_max is not None
             assert -1e-12 <= r.e_b_max <= r.e_r + 1e-9
             assert r.e_r <= r.e_a + 1e-12

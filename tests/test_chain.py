@@ -587,7 +587,7 @@ def _pauli_site_decomposition(hamiltonian, site, n_sites, psi):
 def test_residual_energy_decoupled_chain_recoverable():
     model = chain.normalize(decoupled_chain(6))
     meas = core.projective_pauli_measurement((1.0, 0, 0), 2)
-    res = chain.residual_energy(model, 2, meas, n_starts=8)
+    res = chain.residual_energy(model, 2, meas)
     assert res.e_r == pytest.approx(0.0, abs=1e-9)
 
 
@@ -613,7 +613,7 @@ def test_residual_energy_oracle_random_chain():
     rng = np.random.default_rng(77)
     model = chain.random_chain_model(6, rng, boundary="open")
     meas = core.projective_pauli_measurement((0.0, 0, 1.0), 3)
-    res = chain.residual_energy(model, 3, meas, n_starts=12)
+    res = chain.residual_energy(model, 3, meas)
     g = model.ground.state.amplitudes
     expect = 0.0
     for _, mop in meas.operators:
@@ -658,16 +658,15 @@ def test_residual_energy_kraus_never_worse():
     model = minimal_as_chain()
     meas = core.projective_pauli_measurement((1.0, 0, 0), 0)
     unit = chain.residual_energy(model, 0, meas)
-    kraus = chain.residual_energy(model, 0, meas, search_space="kraus2",
-                                  n_starts=8)
-    assert kraus.e_r <= unit.e_r + 1e-6
+    kraus = chain.residual_energy(model, 0, meas, search_space="kraus2")
+    assert kraus.e_r <= unit.e_r + 1e-10 * model.energy_scale
     # two sites leave no extraction site three apart, so no certificate value
     assert kraus.e_b_max is None
 
 
 def test_residual_energy_ordering_ising(ising8):
     meas = core.projective_pauli_measurement((1.0, 0, 0), 1)
-    res = chain.residual_energy(ising8, 1, meas, n_starts=8)
+    res = chain.residual_energy(ising8, 1, meas)
     assert res.e_b_max is not None
     assert res.e_b_max <= res.e_r + 1e-9
     assert res.e_r <= res.e_a + 1e-12
@@ -680,10 +679,10 @@ def test_residual_energy_trend_toward_infinite_chain(ising8, ising12):
     from qetsim import ising as isg
     meas = core.projective_pauli_measurement((1.0, 0, 0), 1)
     values = {
-        8: chain.residual_energy(ising8, 1, meas, n_starts=6).e_r,
+        8: chain.residual_energy(ising8, 1, meas).e_r,
         10: chain.residual_energy(
-            isg.build(isg.IsingParams(1.0, 10)), 1, meas, n_starts=6).e_r,
-        12: chain.residual_energy(ising12, 1, meas, n_starts=4).e_r,
+            isg.build(isg.IsingParams(1.0, 10)), 1, meas).e_r,
+        12: chain.residual_energy(ising12, 1, meas).e_r,
     }
     reference = 6 / math.pi - 1
     assert all(v > 0 for v in values.values())
@@ -692,6 +691,102 @@ def test_residual_energy_trend_toward_infinite_chain(ising8, ising12):
     print(f"  residual cooling energy by size: {values!r} "
           f"(infinite-chain reference {reference:.6f}, different measurement "
           "scheme; trend only)")
+
+
+def _random_isometry_halves(rng):
+    """The two 2x2 halves of a random 4x2 isometry ``q``: ``q[:2]`` and
+    ``q[2:]`` form a complete Kraus pair (or two-outcome POVM)."""
+    q, _ = np.linalg.qr(rng.standard_normal((4, 2))
+                        + 1j * rng.standard_normal((4, 2)))
+    return q[:2], q[2:]
+
+
+def _random_povm(rng, site):
+    plus, minus = _random_isometry_halves(rng)
+    return core.PovmMeasurement(site, ((1.0, LocalOperator((site,), plus)),
+                                       (-1.0, LocalOperator((site,), minus))))
+
+
+def _branch_grams(model, measurement):
+    """``(label, gram)`` of each measured branch of the ground state."""
+    g = model.ground.state.amplitudes
+    out = []
+    for label, mop in measurement.operators:
+        branch = core.apply_local(mop, g, model.n_sites)
+        out.append((label, core.one_site_gram(
+            model.hamiltonian, measurement.site,
+            branch / np.linalg.norm(branch))))
+    return out
+
+
+@pytest.mark.parametrize("case", ["ising8", "complex6", "minimal"])
+def test_channel_cooling_of_projective_branches_is_unitary(case, request):
+    # a projective measurement leaves the measured site pure, and then no
+    # channel cools below the best unitary
+    model = {"ising8": lambda: request.getfixturevalue("ising8"),
+             "complex6": lambda: chain.random_chain_model(
+                 6, np.random.default_rng(41), boundary="open"),
+             "minimal": minimal_as_chain}[case]()
+    scale = model.energy_scale
+    for site in range(model.n_sites):
+        meas = core.projective_pauli_measurement((0.6, 0.0, 0.8), site)
+        for _, gram in _branch_grams(model, meas):
+            upper, lower = core.lowest_channel_energy(gram, scale)
+            unitary = core.lowest_unitary_energy(gram)[0]
+            assert abs(upper - unitary) <= 1e-10 * scale
+            assert abs(upper - lower) <= 1e-10 * scale
+
+
+def test_channel_cooling_certified_on_random_povms():
+    rng = np.random.default_rng(61)
+    vecs = np.array([np.reshape(_random_isometry_halves(rng), (2, 4))
+                     for _ in range(1000)])
+    for seed in range(6):
+        model = chain.random_chain_model(6, np.random.default_rng(seed),
+                                         boundary="open")
+        scale = model.energy_scale
+        meas = _random_povm(rng, int(rng.integers(6)))
+        for _, gram in _branch_grams(model, meas):
+            upper, lower = core.lowest_channel_energy(gram, scale)
+            assert abs(upper - lower) <= 1e-10 * scale
+            assert upper <= core.lowest_unitary_energy(gram)[0] + 1e-12 * scale
+            # the dual bound holds for every sampled channel
+            sampled = np.einsum("nki,ij,nkj->n", vecs.conj(), gram, vecs).real
+            assert sampled.min() >= lower - 1e-12 * scale
+
+
+def test_channel_beats_every_unitary_on_pinned_branch():
+    model = chain.random_chain_model(6, np.random.default_rng(423),
+                                     boundary="open")
+    meas = _random_povm(np.random.default_rng(523), 5)
+    gram = dict(_branch_grams(model, meas))[-1.0]
+    upper, lower = core.lowest_channel_energy(gram, model.energy_scale)
+    assert core.lowest_unitary_energy(gram)[0] == pytest.approx(0.214065,
+                                                                abs=1e-6)
+    assert upper == pytest.approx(0.158463, abs=1e-6)
+    assert upper - lower <= 1e-10 * model.energy_scale
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_energy_kraus_not_above_unitary(seed):
+    model = chain.random_chain_model(6, np.random.default_rng(300 + seed),
+                                     boundary="open")
+    meas = _random_povm(np.random.default_rng(400 + seed), 5)
+    unit = chain.residual_energy(model, 5, meas)
+    kraus = chain.residual_energy(model, 5, meas, search_space="kraus2")
+    assert kraus.e_r <= unit.e_r + 1e-12 * model.energy_scale
+    assert kraus.e_a == unit.e_a
+
+
+@pytest.mark.parametrize("search_space", ["unitary", "kraus2"])
+def test_residual_energy_of_zero_chain_ends_in_invariant(search_space):
+    zero = np.zeros((2, 2))
+    model = ChainModel(6, "open", (zero,) * 6,
+                       (Channel((core.PAULI_X,) * 6, (0.0,) * 5),), (0.0,) * 6)
+    assert model.energy_scale == 0.0
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 0)
+    with pytest.raises(InvariantViolation, match="no extraction direction"):
+        chain.residual_energy(model, 0, meas, search_space=search_space)
 
 
 def _direct_cooling_energy(op, n_sites, site, psi, kraus):
@@ -739,7 +834,7 @@ def test_cooling_gram_matches_direct_energy(case, search_space, request):
                 q = rng.standard_normal(4)
                 kraus = (core.su2_unitary(q / np.linalg.norm(q)),)
             else:
-                kraus = core.kraus_pair(rng.uniform(0, 2 * math.pi, 16))
+                kraus = _random_isometry_halves(rng)
             got.append(core.one_site_energy(gram, kraus))
             want.append(_direct_cooling_energy(op, n_sites, site, psi, kraus))
         got, want = np.array(got), np.array(want)
@@ -755,7 +850,7 @@ def test_residual_energy_rejects_nan_hamiltonian(ising8, monkeypatch):
     meas = core.projective_pauli_measurement((1.0, 0, 0), 1)
     _nan_hamiltonian(monkeypatch)
     with pytest.raises(InvariantViolation):
-        chain.residual_energy(ising8, 1, meas, n_starts=2)
+        chain.residual_energy(ising8, 1, meas)
 
 
 def test_residual_energy_ordering_fails_on_nan(ising8, monkeypatch):
@@ -763,7 +858,7 @@ def test_residual_energy_ordering_fails_on_nan(ising8, monkeypatch):
     monkeypatch.setattr(chain, "best_teleportable_energy",
                         lambda model, measurement: (math.nan, 5))
     with pytest.raises(InvariantViolation, match="teleportable energy nan"):
-        chain.residual_energy(ising8, 1, meas, n_starts=2)
+        chain.residual_energy(ising8, 1, meas)
 
 
 _X_AT_0 = core.projective_pauli_measurement((1.0, 0, 0), 0)
@@ -868,6 +963,19 @@ def test_distribution_bound_random_configurations(random_chains10):
             assert dist.total_extracted <= dist.e_a + 1e-10
             count += 1
     assert count == 20
+
+
+@pytest.mark.filterwarnings("ignore:separation 3")
+def test_distribution_takes_angles_as_array(ising12):
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 3)
+    as_tuple = chain.energy_distribution(ising12, 3, meas, (6, 9), (0.1, 0.2))
+    as_array = chain.energy_distribution(ising12, 3, meas, (6, 9),
+                                         np.array([0.1, 0.2]))
+    assert as_array.entries == as_tuple.entries
+    assert as_array.total_extracted == as_tuple.total_extracted
+    with pytest.raises(ValueError,
+                       match="^angles must be numbers or 'auto', got '0.1'$"):
+        chain.energy_distribution(ising12, 3, meas, (6,), "0.1")
 
 
 def test_distribution_rejects_overlap(ising12):

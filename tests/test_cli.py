@@ -619,6 +619,33 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file,
         assert optimize == [], f"{' '.join(argv[:3])} loaded {optimize}"
 
 
+_COOLING_PROBE = """
+import json, sys
+import numpy as np
+from qetsim import chain, core
+model = chain.random_chain_model(6, np.random.default_rng(423), boundary="open")
+q, _ = np.linalg.qr(np.arange(8.0).reshape(4, 2) + 1j * np.eye(4, 2))
+meas = core.PovmMeasurement(5, ((1.0, core.LocalOperator((5,), q[:2])),
+                                (-1.0, core.LocalOperator((5,), q[2:]))))
+res = chain.residual_energy(model, 5, meas, search_space="kraus2")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([res.e_r, loaded]))
+"""
+
+
+def test_channel_cooling_loads_no_scipy():
+    # one fresh interpreter, because this one has imported scipy already
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COOLING_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    e_r, loaded = json.loads(proc.stdout)
+    assert e_r > 0
+    assert loaded == []
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("h = 1.0\nk = 1.0\ntheta = 0\n")

@@ -25,7 +25,7 @@ def _chain_energies(model, site_a, site_b):
     meas = core.projective_pauli_measurement((1.0, 0, 0), site_a)
     run = chain.run_protocol(
         model, ChainProtocolSpec(site_a, site_b, meas, g_b, theta))
-    e_r = chain.residual_energy(model, site_a, meas, n_starts=2).e_r
+    e_r = chain.residual_energy(model, site_a, meas).e_r
     return {"E_A": run.e_a, "E_B": run.e_b, "eta": eta, "xi": xi,
             "E_r": e_r}, theta
 
