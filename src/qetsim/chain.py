@@ -228,10 +228,9 @@ class ChainModel:
 
         Each density acts on the amplitudes with its support axes moved
         first, and the product is contracted in that order, so no vector
-        is transposed back.  The columns are taken one at a time: on a
-        two-column block the product crosses OpenBLAS's threading threshold
-        from 12 sites on, and numpy's BLAS threads then compete with
-        scipy's after a Krylov ground state.
+        is transposed back.  The columns are taken one at a time, so each
+        product stays below OpenBLAS's threading threshold up to 14 sites;
+        a two-column block crosses it from 12 sites on.
         """
         vectors = np.asarray(vectors)
         if vectors.shape[0] != 2**self.n_sites:

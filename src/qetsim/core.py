@@ -228,6 +228,8 @@ class GroundState:
 
 
 DENSE_DIM_LIMIT = 256
+_LANCZOS_MAX_STEPS = 1000
+_LANCZOS_CHECK_EVERY = 6
 
 
 def ground_state(H, scale: float = 1.0) -> GroundState:
@@ -236,12 +238,14 @@ def ground_state(H, scale: float = 1.0) -> GroundState:
     ``H`` is a dense ndarray or a ``scipy.sparse`` matrix, of any size;
     nothing else is accepted.  Up to 256 dimensions (8 sites) the full
     dense eigendecomposition runs, which is measured to be no slower than
-    Krylov there; above, a seeded Krylov solver runs.  A dense ndarray of
-    at most 256 dimensions goes straight to ``numpy.linalg.eigh`` and never
-    imports scipy.  ``scale`` is the operator's energy scale: ``H`` must be
+    Krylov there; above, a seeded Lanczos solver in plain numpy runs
+    (:func:`_krylov_lowest_pair`: two passes for the pair, one more for the
+    gap).  ``scale`` is the operator's energy scale: ``H`` must be
     Hermitian within ``1e-10 * scale``, the eigenpair must satisfy
     ``|H v - E v| <= 1e-9 * scale``, and a gap not above ``1e-8 * scale``
-    (so any gap of a zero operator) is reported as degenerate.
+    (so any gap of a zero operator) is reported as degenerate.  The
+    residual is summed in units of ``scale``, so it does not overflow for
+    couplings as large as 1e300.
     """
     dim = H.shape[0]
     sparse = not isinstance(H, np.ndarray)
@@ -255,8 +259,9 @@ def ground_state(H, scale: float = 1.0) -> GroundState:
         energy, vec = float(vals[0]), vecs[:, 0]
         gap = float(vals[1] - vals[0]) if dim > 1 else math.inf
     else:
-        energy, vec, gap = _krylov_lowest_pair(H, dim)
-    residual = np.linalg.norm(H @ vec - energy * vec)
+        energy, vec, gap = _krylov_lowest_pair(H, dim, scale)
+    unit = scale if scale > 0 else 1.0
+    residual = unit * np.linalg.norm((H @ vec - energy * vec) / unit)
     if not residual <= ATOL_RESIDUAL * scale:
         raise EigensolverError(
             f"eigensolver residual {residual:.3g} > {ATOL_RESIDUAL * scale:.3g}")
@@ -265,55 +270,91 @@ def ground_state(H, scale: float = 1.0) -> GroundState:
                        gap, not gap > GAP_DEGENERATE * scale)
 
 
-def _krylov_lowest_pair(H, dim: int) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenvalue, its vector and the gap above it, by ARPACK.
+def _krylov_lowest_pair(H, dim: int, scale: float
+                        ) -> tuple[float, np.ndarray, float]:
+    """Lowest eigenvalue, its vector and the gap above it, by Lanczos.
 
-    Runs on ``H - c*I``, ``c`` twice the Gershgorin row-sum bound, so every
-    eigenvalue it sees is strictly negative and restarts cannot lose an
-    exact null vector of ``H``.  One Krylov space holds a single direction
-    of a repeated eigenvalue, so the gap comes from a second run on the
-    complement of the ground vector.  Start vectors are seeded, so repeated
-    solves are bit-identical.
+    Runs on ``(H - c*I) / c``, ``c`` twice the Gershgorin row-sum bound, so
+    every eigenvalue it sees lies in [-1.5, -0.5] and no sum can overflow.
+    Pass 1 stops when the Ritz residual estimate falls to ``1e-2 * 1e-9 *
+    scale``; pass 2 replays the same seeded recurrence to sum the Ritz
+    vector, so no basis is stored and repeated solves are bit-identical.
+    One Krylov space holds a single direction of a repeated eigenvalue, so
+    the gap comes from a third run, on the complement of the ground vector.
     """
     shift = 2.0 * float(abs(H).sum(axis=1).max())
     if shift == 0.0:
         vec = np.zeros(dim)
         vec[0] = 1.0
         return 0.0, vec, 0.0
+    tol = 1e-2 * ATOL_RESIDUAL * scale / shift
     rng = np.random.default_rng(0)
-    lowest, vec = _arpack_lowest(lambda v: H @ v - shift * v, dim, H.dtype, rng)
 
-    conj = vec.conj()
+    def shifted(v):
+        w = H @ v
+        w *= 1.0 / shift
+        w -= v
+        return w
 
-    # Product-sums, not np.vdot: numpy's threaded BLAS competes with ARPACK's.
+    start = _unit(rng.standard_normal(dim).astype(H.dtype))
+    lowest, ritz = _lanczos(shifted, start, tol)
+    vec = _unit(_lanczos(shifted, start, tol, ritz))
+
     def deflated(v):
-        v = v - vec * (conj * v).sum()
-        w = H @ v - shift * v
-        return w - vec * (conj * w).sum()
+        w = shifted(v)
+        w -= vec * _dot(vec, w)
+        return w
 
-    second, _ = _arpack_lowest(deflated, dim, H.dtype, rng)
-    return lowest + shift, vec, max(second - lowest, 0.0)
+    other = rng.standard_normal(dim).astype(H.dtype)
+    second, _ = _lanczos(deflated, _unit(other - vec * _dot(vec, other)), tol)
+    return shift * (1.0 + lowest), vec, shift * max(second - lowest, 0.0)
 
 
-def _arpack_lowest(matvec, dim: int, dtype, rng) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a negative definite Hermitian operator."""
-    import scipy.sparse.linalg as spla
-    op = spla.LinearOperator((dim, dim), dtype=dtype, matvec=matvec)
-    v0 = rng.standard_normal(dim).astype(dtype)
-    try:
-        vals, vecs = spla.eigsh(op, k=1, which="SA", tol=1e-12,
-                                maxiter=5000, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        if exc.eigenvalues.size:
-            vec = exc.eigenvectors[:, 0]
-            res = np.linalg.norm(matvec(vec) - exc.eigenvalues[0] * vec)
-            raise EigensolverError(
-                f"Krylov eigensolver did not converge (residual {res:.3g})"
-            ) from exc
-        raise EigensolverError("Krylov eigensolver did not converge") from exc
-    except spla.ArpackError as exc:
-        raise EigensolverError(f"Krylov eigensolver failed: {exc}") from exc
-    return float(vals[0]), vecs[:, 0]
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``<a|b>`` as a product-sum: no BLAS call, so no thread pool."""
+    return (a.conj() * b).sum()
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / math.sqrt(_dot(v, v).real)
+
+
+def _lanczos(apply, v: np.ndarray, tol: float, ritz=None):
+    """Lowest Ritz pair of the Hermitian map ``apply`` from the unit vector
+    ``v``, by the three-term Lanczos recurrence without reorthogonalization.
+
+    Without ``ritz``: runs until ``|beta_j s_j| <= tol`` (``s`` the lowest
+    eigenvector of the tridiagonal matrix, solved every few steps and at a
+    breakdown) and returns the Ritz value and ``s``.  With ``ritz``: replays
+    the identical recurrence for ``len(ritz)`` steps and returns the Ritz
+    vector ``sum_j ritz[j] v_j``.  The extreme Ritz pair stays accurate
+    after orthogonality is lost (Paige 1980).
+    """
+    alphas, betas = [], []
+    prev, beta = np.zeros_like(v), 0.0
+    out = None if ritz is None else np.zeros_like(v)
+    for step in range(_LANCZOS_MAX_STEPS):
+        if ritz is not None:
+            out += ritz[step] * v
+            if step + 1 == len(ritz):
+                return out
+        w = apply(v)
+        alpha = _dot(v, w).real
+        w -= alpha * v
+        w -= beta * prev
+        beta = math.sqrt(_dot(w, w).real)
+        alphas.append(alpha)
+        betas.append(beta)
+        if ritz is None and (beta <= tol
+                             or (step + 1) % _LANCZOS_CHECK_EVERY == 0):
+            band = np.diag(alphas) + np.diag(betas[:-1], 1) \
+                + np.diag(betas[:-1], -1)
+            vals, vecs = np.linalg.eigh(band)
+            if abs(beta * vecs[-1, 0]) <= tol:
+                return float(vals[0]), vecs[:, 0]
+        prev, v = v, w / beta
+    raise EigensolverError(
+        f"Lanczos eigensolver did not converge in {_LANCZOS_MAX_STEPS} steps")
 
 
 def expectation(state: StateVector, op: np.ndarray):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from qetsim import chain, ising
+from qetsim import chain, core, ising
 
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 stays deterministic.  Hypothesis still caches the
@@ -36,6 +36,20 @@ def ising12():
 def random_chains10():
     rng = np.random.default_rng(2024)
     return tuple(chain.random_chain_model(10, rng) for _ in range(5))
+
+
+@pytest.fixture
+def krylov_calls(monkeypatch):
+    """Dimensions of the Krylov ground-state solves, in call order."""
+    calls = []
+    solve = core._krylov_lowest_pair
+
+    def counted(*args):
+        calls.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(core, "_krylov_lowest_pair", counted)
+    return calls
 
 
 @pytest.fixture(autouse=True)

@@ -1121,19 +1121,6 @@ def xyz_chain(n, seed):
         tuple(0.0 for _ in range(n)))
 
 
-@pytest.fixture
-def krylov_calls(monkeypatch):
-    calls = []
-    solve = core._krylov_lowest_pair
-
-    def counted(*args):
-        calls.append(args[1])
-        return solve(*args)
-
-    monkeypatch.setattr(core, "_krylov_lowest_pair", counted)
-    return calls
-
-
 def _check_against_dense(model, krylov_calls):
     ham = model.hamiltonian
     assert ham.shape[0] > core.DENSE_DIM_LIMIT

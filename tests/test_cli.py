@@ -469,6 +469,50 @@ def test_scaled_couplings_exit_zero(capsys, argv):
     assert "nan" not in out.lower()
 
 
+def _csv_table(out):
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    header, *rows = (line.split(",") for line in lines)
+    return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.parametrize("coupling", ["1e170", "1e300"])
+def test_ising_numeric_huge_coupling_scales_linearly(capsys, coupling):
+    # the eigensolver residual is summed in units of J, so it cannot overflow
+    tables = []
+    for j in ("1", coupling):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "ising", "--mode", "numeric",
+                                     "--N", "8", "--J", j)
+        assert (code, err) == (0, "")
+        tables.append(_csv_table(out))
+    scale = float(coupling)
+    unit, scaled = tables
+    compared = 0
+    for unit_row, row in zip(unit, scaled, strict=True):
+        for key, text in row.items():
+            if key == "direction" or not abs(float(text)) > 1e-9 * scale:
+                continue
+            assert float(text) == pytest.approx(scale * float(unit_row[key]),
+                                                rel=1e-9), key
+            compared += 1
+    assert compared >= 12  # E_A_numeric and xi on every row, eta and E_B on some
+
+
+def test_chain_huge_coupling_runs_krylov_quietly(capsys, tmp_path,
+                                                 krylov_calls):
+    big = tmp_path / "big.chain"
+    big.write_text("n_sites = 10\nboundary = periodic\nx = -1e200*z\n"
+                   "bond = x ; -1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "chain", "--model", str(big),
+                                 "--site-a", "1", "--site-b", "6")
+    assert (code, err) == (0, "")
+    assert krylov_calls == [2**10]
+    assert math.isfinite(load_json(out)["E_A"])
+
+
 @pytest.mark.parametrize("flag", ["--lambda-file", "--p-file"])
 def test_field_overflowing_profile_exit_one(capsys, profile_files, tmp_path,
                                             flag):
@@ -570,7 +614,13 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = cli.main(argv)
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    report.append([code, loaded])
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            blas = sorted({line.split()[-1] for line in maps
+                           if "openblas" in line.lower()})
+    except OSError:
+        blas = None
+    report.append([code, loaded, blas])
 print(json.dumps(report))
 """
 
@@ -596,8 +646,8 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file,
         ["chain", "--model", chain_file, "--site-a", "1", "--site-b", "5"],
     ] + [["verify", "--suite", s]
          for s in ("core", "minimal", "ising", "field", "chain", "all")]
-    # a 10-site chain is a CSR matrix with a Krylov ground state; it runs
-    # no numerical descent
+    # a 10-site chain is a CSR matrix with a Lanczos ground state in plain
+    # numpy: no scipy solver, and no second OpenBLAS beside numpy's
     sparse = [["chain", "--model", str(chain10), "--site-a", "1",
                "--site-b", "6"]]
     runs = cheap + sparse
@@ -609,14 +659,18 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    for argv, (code, loaded) in zip(cheap, report):
+    for argv, (code, loaded, _) in zip(cheap, report):
         assert code == 0, argv
         assert loaded == [], f"{' '.join(argv[:3])} loaded {loaded}"
-    for argv, (code, loaded) in zip(sparse, report[len(cheap):]):
+    for argv, (code, loaded, blas) in zip(sparse, report[len(cheap):]):
         assert code == 0, argv
         assert "scipy.sparse" in loaded, f"{' '.join(argv[:3])} loaded {loaded}"
-        optimize = [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
-        assert optimize == [], f"{' '.join(argv[:3])} loaded {optimize}"
+        solvers = [m for m in loaded
+                   if m.split(".")[:2] == ["scipy", "optimize"]
+                   or m.split(".")[:3] == ["scipy", "sparse", "linalg"]]
+        assert solvers == [], f"{' '.join(argv[:3])} loaded {solvers}"
+        if blas is not None:  # where /proc/self/maps exists
+            assert len(blas) == 1, f"{' '.join(argv[:3])} mapped {blas}"
 
 
 _COOLING_PROBE = """

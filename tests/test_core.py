@@ -141,6 +141,89 @@ def test_ground_state_krylov_matches_dense():
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.fixture
+def lanczos_matvecs(monkeypatch):
+    """Operator applications of each Lanczos pass, in call order."""
+    counts = []
+    run = core._lanczos
+
+    def counted(apply, *args):
+        counts.append(0)
+
+        def tally(v):
+            counts[-1] += 1
+            return apply(v)
+
+        return run(tally, *args)
+
+    monkeypatch.setattr(core, "_lanczos", counted)
+    return counts
+
+
+def _krylov_against_dense(h, scale=1.0):
+    assert h.shape[0] > core.DENSE_DIM_LIMIT  # so the Lanczos solver runs
+    gs = core.ground_state(h, scale)
+    vals, vecs = np.linalg.eigh(h.toarray())
+    assert gs.energy == pytest.approx(vals[0], abs=1e-9 * scale)
+    assert gs.gap == pytest.approx(vals[1] - vals[0], abs=1e-8 * scale)
+    ground = vecs[:, vals - vals[0] <= 1e-8 * scale]
+    weight = np.linalg.norm(ground.conj().T @ gs.state.amplitudes)
+    assert weight == pytest.approx(1.0, abs=1e-8)
+    return gs
+
+
+def test_lanczos_breaks_off_on_few_levels(lanczos_matvecs):
+    # the uncoupled chain x = -1*z: ten distinct levels -9, -7, ..., 9, so
+    # the recurrence reaches an invariant subspace after ten steps
+    import scipy.sparse as sp
+
+    from qetsim.chain import ChainModel
+
+    h = ChainModel(9, "open", tuple(-core.PAULI_Z for _ in range(9)), (),
+                   tuple(0.0 for _ in range(9))).hamiltonian
+    assert sp.issparse(h)
+    gs = _krylov_against_dense(h)
+    assert gs.energy == pytest.approx(-9.0, abs=1e-12)
+    assert gs.gap == pytest.approx(2.0, abs=1e-12)
+    assert not gs.degenerate
+    assert lanczos_matvecs[0] <= 10 and lanczos_matvecs[2] <= 9
+
+
+def test_lanczos_repeated_ground_level_complex():
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(29)
+    dim = 256
+    half = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = sp.csr_matrix(np.kron(half + half.conj().T, np.eye(2)))
+    assert np.iscomplexobj(h.data)
+    gs = _krylov_against_dense(h)
+    assert gs.degenerate
+    assert gs.gap == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_lanczos_zero_operator(scale):
+    import scipy.sparse as sp
+
+    gs = _krylov_against_dense(sp.csr_matrix((512, 512), dtype=complex), scale)
+    assert (gs.energy, gs.gap, gs.degenerate) == (0.0, 0.0, True)
+
+
+def test_lanczos_step_cap_raises_one_line(monkeypatch):
+    import scipy.sparse as sp
+
+    from qetsim import ising
+
+    h = ising.build(ising.IsingParams(1.0, 10)).hamiltonian
+    assert sp.issparse(h)
+    monkeypatch.setattr(core, "_LANCZOS_MAX_STEPS", 5)
+    with pytest.raises(core.EigensolverError) as info:
+        core.ground_state(h)
+    assert str(info.value) == \
+        "Lanczos eigensolver did not converge in 5 steps"
+
+
 def test_expectation_trivial_cases():
     plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     assert core.expectation(plus, core.PAULI_X) == pytest.approx(1.0, abs=1e-12)
