@@ -7,11 +7,11 @@ piece plus half of each adjacent bond, so the densities sum to the full
 Hamiltonian.  After :func:`normalize` every density has zero ground-state
 expectation and the Hamiltonian is nonnegative with ground eigenvalue zero.
 
-The local route of the dual-route energy accounting runs through two
-primitives: :meth:`ChainModel.site_energies`, the density profile summed
-over a vector or a block of column vectors, and
-:meth:`ChainModel.local_energy`, the local energy around a site applied to
-a vector.  The global route runs through the Hamiltonian.
+The local route of the dual-route energy accounting runs through
+:meth:`ChainModel.site_energies`, the density profile summed over a vector
+or a block of column vectors, :meth:`ChainModel.local_energy`, the local
+energy around a site applied to a vector, and :meth:`ChainModel.local_gram`,
+its one-site Gram form.  The global route runs through the Hamiltonian.
 
 One engine measures at A and feeds the announced label back: the measured
 branches are the columns of one block, rotated at every feedback site and
@@ -251,6 +251,25 @@ class ChainModel:
         return sum(apply_local(self.terms[m], vec, self.n_sites)
                    for m in self.region(site))
 
+    def local_gram(self, site: int, vec: np.ndarray) -> np.ndarray:
+        """:func:`core.one_site_gram` of the local energy around ``site``; on
+        unitaries it differs from the full-H form by a constant.  Each density
+        meets the reduced block of the moved amplitudes ``M``, ``M M^H``."""
+        psi = np.asarray(vec).reshape((2,) * self.n_sites)
+        gram = np.zeros((2, 2, 2, 2), dtype=complex)
+        for term in (self.terms[m] for m in self.region(site)):
+            k, p = term.n_support, term.support.index(site)
+            moved = np.moveaxis(psi, term.support, range(k)).reshape(2**k, -1)
+            # both on the support, with the axes of site leading
+            t, rho = (np.moveaxis(a.reshape((2,) * 2 * k), (p, k + p), (0, k))
+                      .reshape((2, 2 ** (k - 1)) * 2)
+                      for a in (term.matrix, moved @ moved.conj().T))
+            # G[(ab),(cd)] = sum T[(a x),(c y)] rho[(d y),(b x)]
+            gram += np.einsum("axcy,dybx->abcd", t, rho)
+        if not np.isfinite(gram).all():
+            raise InvariantViolation(f"local Gram form at site {site} is not finite")
+        return gram.reshape(4, 4)
+
 
 def normalize(model: ChainModel) -> ChainModel:
     """Shift each on-site operator so all densities average to zero.
@@ -274,10 +293,13 @@ def normalize(model: ChainModel) -> ChainModel:
     ham = model.hamiltonian
     if isinstance(ham, np.ndarray):
         ham = ham.copy()
-        np.fill_diagonal(ham, ham.diagonal() - drop)
+        with np.errstate(over="ignore"):  # refused below, as on a CSR
+            np.fill_diagonal(ham, ham.diagonal() - drop)
     else:
         import scipy.sparse as sp
         ham = ham - drop * sp.identity(ham.shape[0], format="csr")
+    if not np.isfinite(ham.diagonal()).all():
+        raise ValueError(f"shifting the Hamiltonian by {-drop:.3g} is not finite")
     shifted.__dict__["hamiltonian"] = ham
     shifted.__dict__["ground"] = GroundState(
         gs.energy - drop, gs.state, gs.gap, gs.degenerate
@@ -514,27 +536,24 @@ def eta_xi(model: ChainModel, sigma_a: LocalOperator,
 
 
 def _global_eta_xi(model: ChainModel, d_a: LocalOperator,
-                   gens: list[LocalOperator], h_g: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """η and Ξ of generators ``G_i`` at one site, by the global route.
+                   gens: list[LocalOperator]) -> tuple[np.ndarray, np.ndarray]:
+    """η and ξ of generators ``G_i`` at one site, by the global route.
 
-    ``eta[i] = <g|D_A i[H, G_i]|g>`` and ``xi[i, j] = <G_i g|H|G_j g>``,
-    both complex, with ``h_g = H g`` for the ground state ``g``.  The
-    vectors ``G_i g`` are the columns of one block ``W``, so ``H`` is
-    applied once: ``xi = W^H (H W)`` and ``eta = i (D_A g)^H (H W - G h_g)``,
-    taken column by column.
+    ``eta[i] = <g|D_A i[H, G_i]|g>`` and ``xi[i] = <G_i g|H|G_i g>``, both
+    complex, for the ground state ``g``.  The vectors ``G_i g`` are the
+    columns of one block ``W``, so ``H`` is applied once to it and once to
+    ``g``: ``eta = i (D_A g)^H (H W - G H g)``, taken column by column.
     """
     g = model.ground.state.amplitudes
     n = model.n_sites
     w = np.stack([apply_local(op, g, n) for op in gens], axis=1)
-    hw = model.apply_hamiltonian(w)
+    hw, h_g = model.apply_hamiltonian(w), model.apply_hamiltonian(g)
     # D_A is Hermitian, so <g|D_A x> = <D_A g|x>; column by column, as in
     # ChainModel.site_energies
     d_g = apply_local(d_a, g, n)
     eta = np.array([1j * np.vdot(d_g, col - apply_local(op, h_g, n))
                     for op, col in zip(gens, hw.T)])
-    xi = np.array([[np.vdot(a, b) for b in hw.T] for a in w.T])
-    return eta, xi
+    return eta, np.array([np.vdot(a, b) for a, b in zip(w.T, hw.T)])
 
 
 def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
@@ -542,7 +561,7 @@ def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
     site_b = g_b.support[0]
     g = model.ground.state.amplitudes
     n = model.n_sites
-    eta, xi = _global_eta_xi(model, d_a, [g_b], model.apply_hamiltonian(g))
+    (eta,), (xi,) = _global_eta_xi(model, d_a, [g_b])
 
     # the velocity i[H_B, G] applied to g, by the local energy around B
     gg = apply_local(g_b, g, n)
@@ -550,10 +569,10 @@ def _eta_xi_general(model: ChainModel, d_a: LocalOperator,
               - apply_local(g_b, model.local_energy(site_b, g), n))
     eta_local = np.vdot(g, apply_local(d_a, w, n))
     scale = model.energy_scale
-    check_close("eta by the local route", eta_local, eta[0], 1e-10, scale)
+    check_close("eta by the local route", eta_local, eta, 1e-10, scale)
     check_close("eta", eta_local, eta_local.real, 1e-10, scale)
-    check_close("xi", xi[0, 0], xi[0, 0].real, 1e-10, scale)
-    return float(eta_local.real), float(xi[0, 0].real)
+    check_close("xi", xi, xi.real, 1e-10, scale)
+    return float(eta_local.real), float(xi.real)
 
 
 def qubit_closed_form(eta: float, xi: float, theta: float) -> float:
@@ -565,22 +584,16 @@ def qubit_closed_form(eta: float, xi: float, theta: float) -> float:
     return float(0.5 * eta * math.sin(2 * theta) - xi * math.sin(theta) ** 2)
 
 
-def _optimum(eta, xi):
-    """``(theta_opt, E_max)`` for ``xi > 0``, elementwise on arrays.
+def optimal_angle(eta: float, xi: float) -> tuple[float, float]:
+    """Maximizing angle and maximal output; requires ``xi > 0``.
 
     ``E_max = (hypot(eta, xi) - xi) / 2`` is evaluated as ``eta/2
     tan(theta_opt)``: nothing near-equal is subtracted, and
     ``|tan(theta_opt)| < 1``, so nothing overflows."""
-    theta = 0.5 * np.atan2(eta, xi)
-    return theta, 0.5 * eta * np.tan(theta)
-
-
-def optimal_angle(eta: float, xi: float) -> tuple[float, float]:
-    """Maximizing angle and maximal output; requires ``xi > 0``."""
     if not xi > 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    theta, e_max = _optimum(eta, xi)
-    return float(theta), float(e_max)
+    theta = 0.5 * math.atan2(eta, xi)
+    return theta, float(0.5 * eta * math.tan(theta))
 
 
 def measurement_bias_operator(m: PovmMeasurement) -> LocalOperator:
@@ -591,56 +604,47 @@ def measurement_bias_operator(m: PovmMeasurement) -> LocalOperator:
     return LocalOperator((m.site,), hermitize(mat))
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count)
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 def best_teleportable_energy(model: ChainModel,
                              measurement: PovmMeasurement) -> tuple[float, int]:
-    """Best closed-form output over extraction sites and generator axes.
+    """``(value, site)``: exactly the most energy one site B, 3 or more from
+    A, extracts by a unitary chosen from the announced label (any labels).
 
-    Sites at least 3 from the measurement; the x, y, z axes and 192
-    Fibonacci-sphere directions.
-
-    Only valid for binary measurements with labels +1/-1, where the
-    involution closed form applies exactly.  Raises
-    :class:`InvariantViolation` when no site and axis gives a finite output
-    with ``xi > 0``.
+    ``value = sum_mu <psi_mu|H|psi_mu> - min_U <U psi_mu|H|U psi_mu>`` over
+    the branches, one :func:`core.lowest_unitary_energy` on each
+    :meth:`ChainModel.local_gram`.  Checked within 1e-10 times the energy
+    scale: the drop of the total energy under the optimal gates equals it;
+    for labels -1 and +1, no Pauli axis's involution closed form exceeds it.
     """
-    labels = sorted(measurement.labels)
-    if labels != [-1.0, 1.0]:
-        raise ValueError("closed-form maximization needs labels -1 and +1")
-    d_a = measurement_bias_operator(measurement)
-    sites = tuple(s for s in range(model.n_sites)
-                  if model.separation(s, measurement.site) >= 3)
+    sites = [s for s in range(model.n_sites)
+             if model.separation(s, measurement.site) >= 3]
     if not sites:
         raise ValueError("no extraction site is far enough from the measurement")
-    h_g = model.apply_hamiltonian(model.ground.state.amplitudes)
-    best = -math.inf
-    best_site = sites[0]
-    dirs = np.vstack([np.eye(3), _fibonacci_sphere(192)])
-    paulis = (core.PAULI_X, core.PAULI_Y, core.PAULI_Z)
+    if model.ground.degenerate:
+        raise InvariantViolation("no extraction direction: degenerate ground state")
+    block, _, e_in = _branches(model, measurement)
+    best = (-math.inf,)
     for site in sites:
-        ops = [LocalOperator((site,), pm) for pm in paulis]
-        eta, xi = _global_eta_xi(model, d_a, ops, h_g)
-        xi_mat = 0.5 * (xi.real + xi.real.T)
-        eta_u = dirs @ eta.real
-        xi_u = np.einsum("ki,ij,kj->k", dirs, xi_mat, dirs)
-        usable = xi_u > 0
-        vals = np.full(dirs.shape[0], -math.inf)
-        vals[usable] = _optimum(eta_u[usable], xi_u[usable])[1]
-        vals[~np.isfinite(vals)] = -math.inf
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, best_site = float(vals[k]), site
-    if best == -math.inf:
-        raise InvariantViolation(
-            "no extraction direction gives a finite output with xi > 0")
-    return best, best_site
+        grams = [model.local_gram(site, psi) for psi in block.T]
+        lows = [core.lowest_unitary_energy(gram) for gram in grams]
+        value = sum(core.one_site_energy(gram, (core.PAULI_I,)) - low
+                    for gram, (low, _) in zip(grams, lows))
+        if value > best[0]:
+            best = value, site, np.array([core.su2_unitary(q) for _, q in lows])
+    value, site, gates = best
+    scale = model.energy_scale
+    rotated = _rotate_columns(block, site, gates)
+    check_close(f"extracted energy at site {site} by the global route", value,
+                e_in - np.vdot(rotated, model.apply_hamiltonian(rotated)).real,
+                1e-10, scale)
+    if sorted(measurement.labels) == [-1.0, 1.0]:
+        eta, xi = _global_eta_xi(model, measurement_bias_operator(measurement),
+                                 [LocalOperator((site,), core.PAULIS[axis])
+                                  for axis in "xyz"])
+        for axis, e, x in zip("xyz", eta.real, xi.real):
+            if x > 0:
+                check_at_most(f"{axis}-axis closed form at site {site}",
+                              optimal_angle(e, x)[1], value, 1e-10, scale)
+    return float(value), site
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,23 +659,22 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
                     seed: int = 7) -> ResidualEnergyResult:
     """Minimal energy left after label-dependent local cooling at A.
 
-    The objective separates over measurement labels: each outcome's branch
-    gives a 4x4 Gram form (:func:`core.one_site_gram`), so the search never
-    touches the full state.  Both minima are exact.  ``"unitary"`` is
-    :func:`core.lowest_unitary_energy`, one 4x4 eigendecomposition.
-    ``"kraus2"`` ranges over all channels at A, which two Kraus operators
-    reach: :func:`core.lowest_channel_energy` solves its 4x4 semidefinite
-    program, and its upper and dual bounds must agree within 1e-10 times
-    the energy scale.  No search draws random numbers: ``n_starts`` and
-    ``seed`` are accepted and ignored.  ``E_B <= E_r <= E_A`` is certified
-    before returning; a NaN on either side fails it.
+    Each outcome's branch gives a 4x4 Gram form (:func:`core.one_site_gram`)
+    with exact minima: ``"unitary"`` by :func:`core.lowest_unitary_energy`;
+    ``"kraus2"``, over all channels at A, by the 4x4 semidefinite program of
+    :func:`core.lowest_channel_energy`, whose upper and dual bounds must
+    agree within 1e-10 times the energy scale.  ``n_starts`` and ``seed``
+    are ignored.  ``E_B`` is :func:`best_teleportable_energy`, ``None`` only
+    when no site is 3 or more from A.  ``E_B <= E_r <= E_A`` is certified
+    for every POVM (``H >= 0``, and A and B touch disjoint densities); a NaN
+    fails it.
     """
     if search_space not in ("unitary", "kraus2"):
         raise ValueError(f"unknown search space {search_space!r}")
     if measurement.site != site_a:
         raise ValueError("measurement must act at site_a")
     block, probs, e_a = _branches(model, measurement)
-    e_r = 0.0
+    scale, e_r = model.energy_scale, 0.0
     for branch, p in zip(block.T, probs):
         if p < core.PROB_FLOOR:
             continue
@@ -680,19 +683,15 @@ def residual_energy(model: ChainModel, site_a: int, measurement: PovmMeasurement
         if search_space == "unitary":
             best = core.lowest_unitary_energy(gram)[0]
         else:
-            best, lower = core.lowest_channel_energy(gram, model.energy_scale)
-            check_close("channel cooling dual bound", best, lower, 1e-10,
-                        model.energy_scale)
+            best, lower = core.lowest_channel_energy(gram, scale)
+            check_close("channel cooling dual bound", best, lower, 1e-10, scale)
         e_r += p * best
 
-    try:
-        e_b_max, _ = best_teleportable_energy(model, measurement)
-    except ValueError:  # labels other than -1/+1, or no site far enough
-        e_b_max = None
-    check_at_most("residual energy", e_r, e_a, 1e-12, model.energy_scale)
+    far = any(model.separation(s, site_a) >= 3 for s in range(model.n_sites))
+    e_b_max = best_teleportable_energy(model, measurement)[0] if far else None
+    check_at_most("residual energy", e_r, e_a, 1e-12, scale)
     if e_b_max is not None:
-        check_at_most("teleportable energy", e_b_max, e_r, 1e-9,
-                      model.energy_scale)
+        check_at_most("teleportable energy", e_b_max, e_r, 1e-9, scale)
     return ResidualEnergyResult(float(e_r), float(e_a), e_b_max)
 
 

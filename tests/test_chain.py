@@ -263,6 +263,26 @@ def test_normalize_rejects_degenerate():
         chain.normalize(model)
 
 
+@pytest.mark.parametrize("n_sites", [8, 9])
+def test_normalize_refuses_overflowing_shift(n_sites):
+    # 8 sites shift a dense Hamiltonian, 9 a CSR one.  Above 8 sites the
+    # Krylov solve of this chain overflows first, so its ground state is
+    # the unit chain's, scaled.
+    def model(j):
+        return ChainModel(
+            n_sites, "periodic", tuple(-j * core.PAULI_Z for _ in range(n_sites)),
+            (Channel(tuple(core.PAULI_X for _ in range(n_sites)),
+                     tuple(-j for _ in range(n_sites))),),
+            (0.0,) * n_sites)
+    unit, big = model(1.0).ground, model(1e307)
+    big.__dict__["ground"] = core.GroundState(
+        1e307 * unit.energy, unit.state, 1e307 * unit.gap, False)
+    assert np.isfinite(big.hamiltonian.data if n_sites > 8
+                       else big.hamiltonian).all()
+    with pytest.raises(ValueError, match="not finite"):
+        chain.normalize(big)
+
+
 def test_nonnegative_after_normalize(random_chains10):
     for model in random_chains10:
         assert model.ground.energy > -1e-9
@@ -528,22 +548,89 @@ def test_closed_form_matches_50_digit_reference():
     assert e_b == pytest.approx(want, rel=1e-14, abs=0)
 
 
-def test_best_teleportable_energy_matches_eta_xi_scan():
+def test_best_teleportable_energy_never_below_direction_scan():
     model = chain.random_chain_model(6, np.random.default_rng(43),
                                      boundary="open")
     u_a = np.array([0.48, -0.6, 0.64])
     meas = core.projective_pauli_measurement(u_a, 0)
     sigma_a = core.pauli_component(u_a, 0)
-    best, best_site = -math.inf, None
-    dirs = np.vstack([np.eye(3), chain._fibonacci_sphere(192)])
+    # the x, y, z axes and 192 Fibonacci-sphere directions
+    i = np.arange(192)
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    z = 1.0 - 2.0 * (i + 0.5) / 192
+    r = np.sqrt(1.0 - z * z)
+    dirs = np.vstack([np.eye(3),
+                      np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)])
+    value, _ = chain.best_teleportable_energy(model, meas)
+    scan = -math.inf
     for site in (3, 4, 5):
         for u in dirs:
             eta, xi = chain.eta_xi(model, sigma_a, core.pauli_component(u, site))
-            if xi > 0 and chain.optimal_angle(eta, xi)[1] > best:
-                best, best_site = chain.optimal_angle(eta, xi)[1], site
+            if xi > 0:
+                scan = max(scan, chain.optimal_angle(eta, xi)[1])
+    assert scan > 0
+    assert value >= scan - 1e-10 * model.energy_scale
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_best_teleportable_energy_matches_full_gram_maximum(boundary):
+    # complex densities on two channels; the brute force forms each
+    # B-site Gram from the full Hamiltonian
+    model = chain.random_chain_model(8, np.random.default_rng(17),
+                                     boundary=boundary, n_channels=2)
+    assert np.iscomplexobj(model.hamiltonian)
+    meas = _random_povm(np.random.default_rng(5), 1)
+    g = model.ground.state.amplitudes
+    want = {}
+    for site in range(model.n_sites):
+        if model.separation(site, 1) < 3:
+            continue
+        want[site] = 0.0
+        for _, mop in meas.operators:
+            gram = core.one_site_gram(model.hamiltonian, site,
+                                      core.apply_local(mop, g, model.n_sites))
+            want[site] += (core.one_site_energy(gram, (core.PAULI_I,))
+                           - core.lowest_unitary_energy(gram)[0])
     value, site = chain.best_teleportable_energy(model, meas)
-    assert value == pytest.approx(best, abs=1e-10)
-    assert site == best_site
+    tol = 1e-10 * model.energy_scale
+    assert abs(value - max(want.values())) <= tol
+    assert abs(value - want[site]) <= tol
+
+
+def test_residual_energy_certifies_three_outcome_povms():
+    rng = np.random.default_rng(71)
+    labels = (0.5, 2.0, -3.0)
+    for seed in range(3):
+        model = chain.random_chain_model(8, np.random.default_rng(seed))
+        q, _ = np.linalg.qr(rng.standard_normal((6, 2))
+                            + 1j * rng.standard_normal((6, 2)))
+        meas = core.PovmMeasurement(0, tuple(
+            (label, LocalOperator((0,), q[2 * k:2 * k + 2]))
+            for k, label in enumerate(labels)))
+        for space in ("unitary", "kraus2"):
+            res = chain.residual_energy(model, 0, meas, search_space=space)
+            assert res.e_b_max is not None
+            assert 0 < res.e_b_max <= res.e_r
+
+
+def test_best_teleportable_energy_search_applies_no_hamiltonian(
+        ising8, ising12, monkeypatch):
+    calls = []
+    apply = ChainModel.apply_hamiltonian
+
+    def counted(self, vec):
+        calls.append(self.n_sites)
+        return apply(self, vec)
+
+    monkeypatch.setattr(ChainModel, "apply_hamiltonian", counted)
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 0)
+    counts = []
+    for model in (ising8, ising12):
+        calls.clear()
+        chain.best_teleportable_energy(model, meas)
+        counts.append(len(calls))
+    # 3 candidate sites on 8 sites, 7 on 12: the global checks only
+    assert counts[0] == counts[1]
 
 
 def test_best_teleportable_energy_rejects_nan_hamiltonian(ising8, monkeypatch):

@@ -456,8 +456,18 @@ def test_non_finite_coupling_exit_one(capsys, argv):
     assert "finite and positive" in err
 
 
+def test_ising_numeric_overflowing_shift_exit_one(capsys):
+    # the couplings are finite, but shifting the diagonal to ground energy
+    # zero overflows
+    code, out, err = run_cli(capsys, "ising", "--mode", "numeric", "--N", "8",
+                             "--J", "1e307")
+    _assert_one_line_failure(code, out, err)
+    assert "not finite" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("ising", "--mode", "numeric", "--N", "8", "--J", "1e-9"),
+    ("ising", "--mode", "numeric", "--N", "8", "--J", "1e306"),
     ("ising", "--mode", "numeric", "--N", "12", "--J", "1e6"),
     ("minimal", "--h", "1e4", "--k", "1e4"),
     ("sweep", "minimal", "--param", "k", "--range", "1e-6:1e6:25", "--log"),
