@@ -507,10 +507,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         handler = COMMANDS[args.command]
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InvariantViolation, EigensolverError) as exc:

@@ -75,13 +75,6 @@ def require_normal_scale(name: str, scale: float) -> float:
     return scale
 
 
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     """Symmetrize a nominally Hermitian matrix, rejecting real asymmetry."""
     anti = matrix - matrix.conj().T
@@ -235,31 +228,32 @@ _LANCZOS_CHECK_EVERY = 6
 def ground_state(H, scale: float = 1.0) -> GroundState:
     """Lowest eigenvalue and eigenvector of a Hermitian operator.
 
-    ``H`` is a dense ndarray or a ``scipy.sparse`` matrix, of any size;
-    nothing else is accepted.  Up to 256 dimensions (8 sites) the full
-    dense eigendecomposition runs, which is measured to be no slower than
-    Krylov there; above, a seeded Lanczos solver in plain numpy runs
+    ``H`` is a dense ndarray or a CSR matrix; nothing else is accepted.  A
+    dense ``H``, and a CSR up to 256 dimensions (8 sites), gets the full
+    dense eigendecomposition, measured to be no slower than Krylov there;
+    a larger CSR gets a seeded Lanczos solver in plain numpy
     (:func:`_krylov_lowest_pair`: two passes for the pair, one more for the
-    gap).  ``scale`` is the operator's energy scale: ``H`` must be
-    Hermitian within ``1e-10 * scale``, the eigenpair must satisfy
-    ``|H v - E v| <= 1e-9 * scale``, and a gap not above ``1e-8 * scale``
-    (so any gap of a zero operator) is reported as degenerate.  The
-    residual is summed in units of ``scale``, so it does not overflow for
-    couplings as large as 1e300.
+    gap).  ``scale`` is the operator's energy scale: ``H`` must be finite
+    and Hermitian within ``1e-10 * scale`` (checked here when dense, on the
+    mask diagonals by ``ChainModel.hamiltonian`` for a CSR), the eigenpair
+    must satisfy ``|H v - E v| <= 1e-9 * scale``, and a gap not above
+    ``1e-8 * scale`` (so any gap of a zero operator) is reported as
+    degenerate.  The residual is summed in units of ``scale``, so it does
+    not overflow for couplings as large as 1e300.
     """
     dim = H.shape[0]
     sparse = not isinstance(H, np.ndarray)
     if not np.isfinite(H.data if sparse else H).all():
         raise ValueError("Hamiltonian has non-finite entries")
-    if not abs(H - H.conj().T).max() <= ATOL_ALGEBRA * scale:
+    if not sparse and not abs(H - H.conj().T).max() <= ATOL_ALGEBRA * scale:
         raise ValueError(
             f"Hamiltonian is not Hermitian within {ATOL_ALGEBRA * scale:.3g}")
-    if dim <= DENSE_DIM_LIMIT:
+    if sparse and dim > DENSE_DIM_LIMIT:
+        energy, vec, gap = _krylov_lowest_pair(H, dim, scale)
+    else:
         vals, vecs = np.linalg.eigh(H.toarray() if sparse else H)
         energy, vec = float(vals[0]), vecs[:, 0]
         gap = float(vals[1] - vals[0]) if dim > 1 else math.inf
-    else:
-        energy, vec, gap = _krylov_lowest_pair(H, dim, scale)
     unit = scale if scale > 0 else 1.0
     residual = unit * np.linalg.norm((H @ vec - energy * vec) / unit)
     if not residual <= ATOL_RESIDUAL * scale:
@@ -272,27 +266,31 @@ def ground_state(H, scale: float = 1.0) -> GroundState:
 
 def _krylov_lowest_pair(H, dim: int, scale: float
                         ) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenvalue, its vector and the gap above it, by Lanczos.
-
-    Runs on ``(H - c*I) / c``, ``c`` twice the Gershgorin row-sum bound, so
-    every eigenvalue it sees lies in [-1.5, -0.5] and no sum can overflow.
-    Pass 1 stops when the Ritz residual estimate falls to ``1e-2 * 1e-9 *
+    """Lowest eigenvalue, its vector and the gap above it of a CSR ``H``,
+    by Lanczos on ``(H - s*I) / s``, ``s`` twice the Gershgorin row-sum
+    bound, so every eigenvalue it sees lies in [-1.5, -0.5]; the bound is
+    summed in units of ``scale`` and refused beyond the double range.  Pass
+    1 stops when the Ritz residual estimate falls to ``1e-2 * 1e-9 *
     scale``; pass 2 replays the same seeded recurrence to sum the Ritz
     vector, so no basis is stored and repeated solves are bit-identical.
     One Krylov space holds a single direction of a repeated eigenvalue, so
     the gap comes from a third run, on the complement of the ground vector.
     """
-    shift = 2.0 * float(abs(H).sum(axis=1).max())
-    if shift == 0.0:
-        vec = np.zeros(dim)
-        vec[0] = 1.0
-        return 0.0, vec, 0.0
-    tol = 1e-2 * ATOL_RESIDUAL * scale / shift
+    unit = scale if scale > 0 else 1.0
+    # the row sums of |H| / unit on the index arrays of H, not a copy of them
+    bound = float(type(H)((np.abs(H.data) / unit, H.indices, H.indptr),
+                          shape=H.shape).sum(axis=1).max())
+    if not math.isfinite(unit * bound):
+        raise ValueError(f"Hamiltonian row sum {bound:.3g} x {unit:.3g} overflows")
+    if bound == 0.0:
+        return 0.0, np.eye(1, dim)[0], 0.0
+    c = 2.0 * bound
+    tol = 1e-2 * ATOL_RESIDUAL / c
     rng = np.random.default_rng(0)
 
     def shifted(v):
         w = H @ v
-        w *= 1.0 / shift
+        w *= (1.0 / unit) / c
         w -= v
         return w
 
@@ -307,7 +305,7 @@ def _krylov_lowest_pair(H, dim: int, scale: float
 
     other = rng.standard_normal(dim).astype(H.dtype)
     second, _ = _lanczos(deflated, _unit(other - vec * _dot(vec, other)), tol)
-    return shift * (1.0 + lowest), vec, shift * max(second - lowest, 0.0)
+    return unit * (c * (1.0 + lowest)), vec, unit * (c * max(second - lowest, 0.0))
 
 
 def _dot(a: np.ndarray, b: np.ndarray):

@@ -144,15 +144,11 @@ def _kron_pieces(model):
 
 
 def _kron_sparse_hamiltonian(model):
-    """Reference assembly: the kron pieces summed by one COO-to-CSR conversion."""
-    pieces = list(_kron_pieces(model))
+    """Reference assembly: the kron pieces summed as CSR matrices, in piece
+    order; each sum drops the zeros it makes."""
     dim = 2**model.n_sites
-    ham = sp.coo_matrix(
-        (np.concatenate([p.data for p in pieces]),
-         (np.concatenate([p.row for p in pieces]),
-          np.concatenate([p.col for p in pieces]))),
-        shape=(dim, dim)).tocsr()
-    ham.eliminate_zeros()
+    ham = sum((p.tocsr() for p in _kron_pieces(model)),
+              sp.csr_matrix((dim, dim), dtype=complex))
     return ham.real if not np.any(ham.data.imag) else ham
 
 
@@ -222,6 +218,19 @@ def test_sparse_hamiltonian_matches_kron_assembly(case, request):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [8, 9])  # the dense and the CSR view
+def test_hamiltonian_rejects_non_hermitian_site_operator(n):
+    model = ChainModel(n, "open", tuple(-core.PAULI_Z for _ in range(n)),
+                       (Channel(tuple(core.PAULI_X for _ in range(n)),
+                                (-1.0,) * (n - 1)),),
+                       (0.0,) * n)
+    x_ops = list(model.x_ops)
+    x_ops[3] = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    object.__setattr__(model, "x_ops", tuple(x_ops))  # past hermitize
+    with pytest.raises(ValueError, match="not Hermitian"):
+        model.hamiltonian
 
 
 def test_minimal_chain_already_normalized():

@@ -496,8 +496,14 @@ def test_ising_numeric_huge_coupling_scales_linearly(capsys, coupling):
                                      "--N", "8", "--J", j)
         assert (code, err) == (0, "")
         tables.append(_csv_table(out))
-    scale = float(coupling)
-    unit, scaled = tables
+    assert _compare_scaled_tables(*tables, float(coupling)) >= 12
+
+
+def _compare_scaled_tables(unit, scaled, scale):
+    """Require each number of ``scaled`` above 1e-9 * scale to be ``scale``
+    times the ``unit`` one within 1e-9 relative; return how many were.
+    Against ``unit``, E_A_numeric and xi are compared on every row, eta and
+    E_B on some."""
     compared = 0
     for unit_row, row in zip(unit, scaled, strict=True):
         for key, text in row.items():
@@ -506,7 +512,26 @@ def test_ising_numeric_huge_coupling_scales_linearly(capsys, coupling):
             assert float(text) == pytest.approx(scale * float(unit_row[key]),
                                                 rel=1e-9), key
             compared += 1
-    assert compared >= 12  # E_A_numeric and xi on every row, eta and E_B on some
+    return compared
+
+
+@pytest.mark.parametrize("coupling,code", [
+    ("5e306", 0), ("7e306", 1), ("9e306", 1), ("1e307", 1), ("1.2e307", 1)])
+def test_ising_numeric_krylov_near_double_range(capsys, coupling, code):
+    # the Lanczos Gershgorin bound is summed in units of J: it runs while
+    # the chain's norm is a double, and is refused, not overflowed, beyond
+    argv = ("ising", "--mode", "numeric", "--N", "12")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(capsys, *argv, "--J", coupling)
+    if code:
+        _assert_one_line_failure(*got)
+        return
+    assert (got[0], got[2]) == (0, "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _compare_scaled_tables(_csv_table(out), _csv_table(got[1]),
+                                  float(coupling)) >= 12
 
 
 def test_chain_huge_coupling_runs_krylov_quietly(capsys, tmp_path,
