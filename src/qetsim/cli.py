@@ -450,10 +450,10 @@ def cmd_sweep(args) -> int:
         lam = field.Profile.from_csv(args.lambda_file)
         p_b = field.Profile.from_csv(args.p_file)
         lines.append("index,T,eta,xi,theta_opt,E_B_max")
-        for idx, val in enumerate(values):
-            spec = field.FieldProtocolSpec(lam, p_b, float(val))
-            res = field.output_energy(spec)
-            lines.append(f"{idx},{float(val)!r},{res.eta!r},{res.xi!r},"
+        delays = values.tolist()
+        results = field.delay_sweep(lam, p_b, delays)
+        for idx, (delay, res) in enumerate(zip(delays, results)):
+            lines.append(f"{idx},{delay!r},{res.eta!r},{res.xi!r},"
                          f"{res.theta_opt!r},{res.e_b_max!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

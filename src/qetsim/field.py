@@ -7,14 +7,15 @@ coefficient is a trapezoid integral over the spectrum of the zero-padded
 smearing profile, evaluated exactly as a sum over the lags of the sample
 autocorrelation, and is gated, in the verification suites, against an
 independent finite-mode Gaussian oracle.  The oracle evaluates the
-trapezoid transform of the profile at every mode of a discretized tower,
-all at once by a chirp-z transform whose FFTs take the smallest
-2^a 3^b 5^c length that holds the convolution, and never forms the
+trapezoid transform of the profile at every mode of a discretized tower by
+a chirp-z transform run as overlap-save over blocks of modes, in FFTs of
+L <= 4096 points for a profile of up to 2048 samples, and never forms the
 autocorrelation, so the two routes share no intermediate.  The kernel
 double integral entering the correlation coefficient is summed over the
 samples inside the declared supports only, as one lag sum against the
-convolution of the two profiles when their grids share a spacing, so no
-field kernel allocates more than O(n_A + n_B + M) memory.  Natural units
+convolution of the two profiles when their grids share a spacing.  No
+field kernel allocates more than O(n_A + n_B) memory, and the oracle
+O(n + L) per transform, whatever the number of modes.  Natural units
 throughout.
 """
 
@@ -249,6 +250,13 @@ def _fft_length(n: int) -> int:
     return best
 
 
+# longest FFT of the oracle's chirp-z transform for profiles of up to half
+# its length: 4096 complex values are 64 KB, half of glibc's 128 KB mmap
+# threshold, so each block's buffers are reused from the heap instead of
+# being mapped, zero-filled and unmapped on every call
+BLOCK_FFT = 4096
+
+
 def _mode_variance(lambda_a: Profile, n_modes: int, omega_max: float) -> float:
     """Vacuum variance sum_k omega_k |T_k|^2 domega / pi on the mode tower.
 
@@ -257,26 +265,34 @@ def _mode_variance(lambda_a: Profile, n_modes: int, omega_max: float) -> float:
     the phase exp(i omega_k x0), which drops out of |T_k|^2; the rest is
     sum_j a_j z^(j (k + 1)) with z = exp(i theta), theta = domega dx.  With
     j k = (j^2 + k^2 - (k - j)^2) / 2 this is a linear convolution with the
-    chirp exp(-i theta m^2 / 2), m = -(n - 1) .. M - 1, taken with three
-    FFTs (Bluestein's chirp-z transform), so every mode's transform costs
-    O((n + M) log(n + M)) in total instead of n M phase products.  The FFTs
-    run at the smallest 2^a 3^b 5^c length >= n + M - 1 that holds the
-    linear convolution, not the next power of two, which can be almost
-    twice as long.
+    chirp exp(-i theta m^2 / 2), m = -(n - 1) .. M - 1 (Bluestein's chirp-z
+    transform), run as overlap-save: the chirped samples are transformed
+    once at length L, and each block of B = L - n + 1 modes k0 .. k0 + B - 1
+    takes the FFT of its chirp segment m = k0 - (n - 1) .. k0 + B - 1 and
+    one inverse FFT, whose last B outputs are valid.  L is the smallest
+    2^a 3^b 5^c >= min(n + M - 1, max(BLOCK_FFT, 2 n)): a tower that fits
+    one such transform keeps it, and each block of a longer profile holds
+    at least n + 1 modes.  Cost: O((n + M) log L) time, O(n + L) memory.
     """
     dom = omega_max / n_modes
     theta = dom * lambda_a.dx
     n = lambda_a.values.size
     j = np.arange(n, dtype=float)
     a = _trapezoid_weights(n, lambda_a.dx) * lambda_a.values
-    m = np.arange(-(n - 1), n_modes, dtype=float)
-    n_fft = _fft_length(n + n_modes - 1)
-    spectrum = (np.fft.fft(a * np.exp(1j * theta * (j + 0.5 * j * j)), n_fft)
-                * np.fft.fft(np.exp(-0.5j * theta * m * m), n_fft))
-    # |exp(i theta k^2 / 2)| = 1, so the closing chirp drops out of |T_k|^2
-    transform = np.fft.ifft(spectrum)[n - 1:n - 1 + n_modes]
-    om = (np.arange(n_modes) + 1.0) * dom
-    return float(om @ np.abs(transform) ** 2) * dom / math.pi
+    n_fft = _fft_length(min(n + n_modes - 1, max(BLOCK_FFT, 2 * n)))
+    chirped = np.fft.fft(a * np.exp(1j * theta * (j + 0.5 * j * j)), n_fft)
+    block = n_fft - n + 1
+    total = 0.0
+    for k0 in range(0, n_modes, block):
+        k1 = min(k0 + block, n_modes)
+        m = np.arange(k0 - (n - 1), k1, dtype=float)
+        # |exp(i theta k^2 / 2)| = 1, so the closing chirp drops out of |T_k|^2
+        transform = np.fft.ifft(
+            chirped * np.fft.fft(np.exp(-0.5j * theta * m * m), n_fft)
+        )[n - 1:n - 1 + k1 - k0]
+        om = (np.arange(k0, k1) + 1.0) * dom
+        total += float(om @ np.abs(transform) ** 2)
+    return total * dom / math.pi
 
 
 def finite_mode_oracle(lambda_a: Profile, n_modes: int = 16384,
@@ -287,11 +303,15 @@ def finite_mode_oracle(lambda_a: Profile, n_modes: int = 16384,
     The smeared chiral momentum becomes a linear combination of mode
     quadratures; its vacuum variance gives both the coherent overlap (via
     the Gaussian characteristic function) and the outcome probability.
-    Each mode's trapezoid transform is evaluated explicitly, all of them
-    together by Bluestein's chirp-z transform in O((n + M) log(n + M)) for
-    n samples and M modes.  The variance is summed over the modes, not
-    taken from the autocorrelation lag sum of :func:`vacuum_overlap`, so
-    the oracle stays an independent check of that route.
+    Each mode's trapezoid transform is evaluated explicitly by Bluestein's
+    chirp-z transform in blocks of modes (see :func:`_mode_variance`):
+    O((n + M) log L) for n samples, M modes and FFT length L.  Up to 2048
+    samples L <= 4096, so no buffer exceeds 64 KB, half of glibc's mmap
+    threshold, and repeated calls reuse heap memory instead of faulting in
+    fresh mappings; the default 16384 modes on 1025 samples take six
+    blocks of 3072 modes.  The variance is summed over the modes, not taken
+    from the autocorrelation lag sum of :func:`vacuum_overlap`, so the
+    oracle stays an independent check of that route.
     With ``refinement_tol`` set, a half-resolution pass must agree with the
     full pass to that relative tolerance or the run is rejected as
     under-resolved.
@@ -413,6 +433,24 @@ class FieldProtocolResult:
     e_b_at_theta: float
 
 
+def _check_functionals(name: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"profile {name} is out of range: its energy "
+                         "functionals are not finite")
+
+
+def _delay_free_terms(lambda_a: Profile,
+                      p_b: Profile) -> tuple[float, float, float]:
+    """(overlap, E_A, xi): the output-energy terms that no delay enters."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = vacuum_overlap(lambda_a)
+        e_a = input_energy(lambda_a)
+        xi = derivative_squared_integral(p_b)
+    _check_functionals("lambda_A", overlap, e_a)
+    _check_functionals("p_B", xi)
+    return overlap, e_a, xi
+
+
 def output_energy(spec: FieldProtocolSpec) -> FieldProtocolResult:
     """Optimal angle and extracted energy; ``theta = None`` means optimal.
 
@@ -421,17 +459,32 @@ def output_energy(spec: FieldProtocolSpec) -> FieldProtocolResult:
     functionals leave double range is rejected by name, and so is an angle
     whose output energy does.
     """
+    return _output_energy(spec, *_delay_free_terms(spec.lambda_a, spec.p_b))
+
+
+def delay_sweep(lambda_a: Profile, p_b: Profile, delays):
+    """Yield :func:`output_energy` at the optimal angle for each delay.
+
+    The overlap, the input energy and xi do not depend on the delay; they
+    are computed once, after the first delay's spec validates, so every
+    result and every error are those of :func:`output_energy` on that
+    delay's spec.
+    """
+    terms = None
+    for delay in delays:
+        spec = FieldProtocolSpec(lambda_a, p_b, delay)
+        if terms is None:
+            terms = _delay_free_terms(lambda_a, p_b)
+        yield _output_energy(spec, *terms)
+
+
+def _output_energy(spec: FieldProtocolSpec, overlap: float, e_a: float,
+                   xi: float) -> FieldProtocolResult:
+    """:func:`output_energy` from its checked delay-free terms."""
     with np.errstate(over="ignore", invalid="ignore"):
-        overlap = vacuum_overlap(spec.lambda_a)
-        e_a = input_energy(spec.lambda_a)
-        xi = derivative_squared_integral(spec.p_b)
         kernel = kernel_double_integral(spec)
     eta = -4.0 / math.pi * overlap * kernel
-    for name, values in (("lambda_A", (overlap, e_a)), ("p_B", (xi,)),
-                         ("pair lambda_A, p_B", (kernel * kernel, eta * eta))):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"profile {name} is out of range: its energy "
-                             "functionals are not finite")
+    _check_functionals("pair lambda_A, p_B", kernel * kernel, eta * eta)
     if xi <= 0:
         raise ValueError(f"displacement fluctuation must be positive, got {xi}")
     theta_opt = eta / (2.0 * xi)

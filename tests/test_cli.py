@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import qetsim
-from qetsim import chain, cli
-from qetsim.field import Profile
+from qetsim import chain, cli, field
+from qetsim.field import FieldProtocolSpec, Profile
 
 
 def run_cli(capsys, *argv):
@@ -347,6 +347,25 @@ def test_field_grid_past_support_runs(capsys, tmp_path, n_b):
         payloads.append(load_json(out))
     for key in ("eta", "xi", "E_B_max"):
         assert payloads[0][key] == pytest.approx(payloads[1][key], rel=1e-13)
+
+
+def test_sweep_field_rows_match_output_energy(capsys, profile_files):
+    # the sweep takes the delay-free terms once; each row must still be
+    # output_energy's result at that delay, to the last digit
+    lam, p_b = profile_files
+    code, out, _ = run_cli(capsys, "sweep", "field", "--param", "T",
+                           "--range", "8:0.5:6", "--lambda-file", lam,
+                           "--p-file", p_b)
+    assert code == 0
+    lines = out.splitlines()
+    rows = lines[lines.index("index,T,eta,xi,theta_opt,E_B_max") + 1:]
+    assert len(rows) == 6
+    lam_prof, p_prof = Profile.from_csv(lam), Profile.from_csv(p_b)
+    for idx, row in enumerate(rows):
+        delay = float(row.split(",")[1])
+        res = field.output_energy(FieldProtocolSpec(lam_prof, p_prof, delay))
+        assert row == (f"{idx},{delay!r},{res.eta!r},{res.xi!r},"
+                       f"{res.theta_opt!r},{res.e_b_max!r}")
 
 
 def test_sweep_field_non_finite_range_exit_one(capsys, profile_files):

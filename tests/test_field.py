@@ -186,8 +186,9 @@ def _direct_mode_variance(lambda_a, n_modes, omega_max):
     weighted = lambda_a.dx * lambda_a.values
     weighted[[0, -1]] *= 0.5
     variance = 0.0
-    for start in range(0, n_modes, 2048):  # 2048-row phase blocks
-        om = (np.arange(start, min(start + 2048, n_modes)) + 1.0) * dom
+    rows = max(1, 2**18 // x.size)  # phase blocks of at most 2^18 entries
+    for start in range(0, n_modes, rows):
+        om = (np.arange(start, min(start + rows, n_modes)) + 1.0) * dom
         transform = np.exp(1j * om[:, None] * x[None, :]) @ weighted
         variance += float(np.sum(om * np.abs(transform) ** 2))
     return variance * dom / math.pi
@@ -216,6 +217,50 @@ def test_mode_variance_matches_direct_sum(n_modes):
             got = field._mode_variance(prof, modes, top)
             assert got == pytest.approx(want, rel=1e-12), (
                 prof.values.size, prof.x0, modes)
+
+
+# blocks of B = L - n + 1 modes: L stays 4096 up to n = 2048 samples, and a
+# longer profile gets the smallest smooth L >= 2 n, here 4320 for n = 2049
+@pytest.mark.parametrize("prof, n_modes, n_fft, blocks", [
+    (sin2(0.1, 0.4, 1.0, 1025), 3072, 4096, 1),
+    (sin2(0.1, 0.4, 1.0, 1025), 3073, 4096, 2),
+    (sin2(0.1, 0.4, 1.0, 2049), 2272, 4320, 1),
+    (sin2(0.1, 0.4, 1.0, 2049), 2273, 4320, 2),
+], ids=["n1025-one-block", "n1025-one-block-plus-one",
+        "n2049-one-block", "n2049-one-block-plus-one"])
+def test_mode_variance_blocks_match_direct_sum(monkeypatch, prof, n_modes,
+                                               n_fft, blocks):
+    lengths = []
+
+    def recording(transform):
+        def run(*args, **kwargs):
+            out = transform(*args, **kwargs)
+            lengths.append(out.size)
+            return out
+        return run
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    omega_max = 160.0 / prof.width
+    got = field._mode_variance(prof, n_modes, omega_max)
+    # the chirped samples once, then a chirp segment and an inverse per block
+    assert lengths == [n_fft] * (1 + 2 * blocks)
+    want = _direct_mode_variance(prof, n_modes, omega_max)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_oracle_allocates_under_half_a_megabyte():
+    # a deterministic stand-in for page faults: 4096-point FFT blocks keep
+    # every buffer at 64 KB, under glibc's 128 KB mmap threshold
+    prof = sin2(0.1, 0.0, 1.0, 1025)
+    field.finite_mode_oracle(prof)
+    tracemalloc.start()
+    try:
+        field.finite_mode_oracle(prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_fft_length_is_next_smooth_number():
