@@ -8,10 +8,11 @@ Hamiltonian.  After :func:`normalize` every density has zero ground-state
 expectation and the Hamiltonian is nonnegative with ground eigenvalue zero.
 
 The local route of the dual-route energy accounting runs through
-:meth:`ChainModel.site_energies`, the density profile summed over a vector
-or a block of column vectors, :meth:`ChainModel.local_energy`, the local
-energy around a site applied to a vector, and :meth:`ChainModel.local_gram`,
-its one-site Gram form.  The global route runs through the Hamiltonian.
+:meth:`ChainModel.site_energies`, the density profile (or some of its
+sites) summed over a vector or a block of column vectors,
+:meth:`ChainModel.local_energy`, the local energy around a site applied to
+a vector, and :meth:`ChainModel.local_gram`, its one-site Gram form.  The
+global route runs through the Hamiltonian.
 
 One engine measures at A and feeds the announced label back: the measured
 branches are the columns of one block, rotated at every feedback site and
@@ -48,7 +49,7 @@ if TYPE_CHECKING:
 
 
 # Largest chain the engine builds: with its 2**n-dimensional Hamiltonian and
-# vectors, one 18-site Ising run took about 6.5 s and a 186 MB peak on 2 cores.
+# vectors, one 18-site Ising run took about 3 s and a 191 MB peak on 2 cores.
 SITE_LIMIT = 18
 
 
@@ -227,10 +228,11 @@ class ChainModel:
     def ground(self) -> GroundState:
         return core.ground_state(self.hamiltonian, self.energy_scale)
 
-    def site_energies(self, vectors: np.ndarray) -> np.ndarray:
-        """The density profile ``sum_v <v|T_m|v>`` (real part) at every site
-        m, summed over ``vectors``: one vector or a block of column vectors,
-        as for :func:`core.apply_matrix`.
+    def site_energies(self, vectors: np.ndarray, sites=None) -> np.ndarray:
+        """The densities ``sum_v <v|T_m|v>`` (real part) at the sites m of
+        ``sites``, in that order (every site by default), summed over
+        ``vectors``: one vector or a block of column vectors, as for
+        :func:`core.apply_matrix`.
 
         Each density acts on the amplitudes with its support axes moved
         first, and the product is contracted in that order, so no vector
@@ -242,14 +244,22 @@ class ChainModel:
         if vectors.shape[0] != 2**self.n_sites:
             raise ValueError(f"expected {2**self.n_sites} amplitudes per vector, "
                              f"got shape {vectors.shape}")
-        out = np.zeros(self.n_sites)
+        sites = range(self.n_sites) if sites is None else sites
+        out = np.zeros(len(sites))
         for vec in vectors.reshape(vectors.shape[0], -1).T:
             psi = vec.reshape((2,) * self.n_sites)
-            for m, term in enumerate(self.terms):
-                k = term.n_support
-                moved = np.moveaxis(psi, term.support, range(k)).reshape(2**k, -1)
-                out[m] += np.vdot(moved, term.matrix @ moved).real
+            for i, m in enumerate(sites):
+                term = self.terms[m]
+                moved = psi.transpose(self._support_first[m]).reshape(
+                    2**term.n_support, -1)
+                out[i] += np.vdot(moved, term.matrix @ moved).real
         return out
+
+    @cached_property
+    def _support_first(self) -> tuple[tuple[int, ...], ...]:
+        """Per density, the axis order that puts its support first."""
+        return tuple(tuple(core._axis_order(term.support, self.n_sites))
+                     for term in self.terms)
 
     def local_energy(self, site: int, vec: np.ndarray) -> np.ndarray:
         """``H_site vec`` for the local energy ``H_site``, the sum of the
@@ -257,24 +267,47 @@ class ChainModel:
         return sum(apply_local(self.terms[m], vec, self.n_sites)
                    for m in self.region(site))
 
-    def local_gram(self, site: int, vec: np.ndarray) -> np.ndarray:
-        """:func:`core.one_site_gram` of the local energy around ``site``; on
-        unitaries it differs from the full-H form by a constant.  Each density
-        meets the reduced block of the moved amplitudes ``M``, ``M M^H``."""
-        psi = np.asarray(vec).reshape((2,) * self.n_sites)
-        gram = np.zeros((2, 2, 2, 2), dtype=complex)
-        for term in (self.terms[m] for m in self.region(site)):
-            k, p = term.n_support, term.support.index(site)
-            moved = np.moveaxis(psi, term.support, range(k)).reshape(2**k, -1)
-            # both on the support, with the axes of site leading
-            t, rho = (np.moveaxis(a.reshape((2,) * 2 * k), (p, k + p), (0, k))
-                      .reshape((2, 2 ** (k - 1)) * 2)
-                      for a in (term.matrix, moved @ moved.conj().T))
+    def local_gram(self, site: int, vectors: np.ndarray) -> np.ndarray:
+        """:func:`core.one_site_gram` of the local energy around ``site``,
+        one 4x4 form per column of ``vectors`` (one vector or a block of
+        column vectors); on unitaries it differs from the full-H form by a
+        constant.  Each density meets the reduced block of the moved
+        amplitudes ``M``, ``M M^H``, of each column; for up to 14 sites each
+        product stays below OpenBLAS's threading threshold."""
+        vectors = np.asarray(vectors)
+        n, width = self.n_sites, vectors.size // 2**self.n_sites
+        tensor = vectors.reshape((2,) * n + (width,))
+        gram = np.zeros((width, 2, 2, 2, 2), dtype=complex)
+        for order, t in self._gram_densities(site):
+            moved = tensor.transpose((n,) + order).reshape(
+                width, t.shape[0] * t.shape[1], -1)
+            rho = (moved @ moved.conj().transpose(0, 2, 1)).reshape(
+                (width,) + t.shape)
             # G[(ab),(cd)] = sum T[(a x),(c y)] rho[(d y),(b x)]
-            gram += np.einsum("axcy,dybx->abcd", t, rho)
+            gram += np.einsum("axcy,ndybx->nabcd", t, rho)
         if not np.isfinite(gram).all():
             raise InvariantViolation(f"local Gram form at site {site} is not finite")
-        return gram.reshape(4, 4)
+        return gram.reshape(vectors.shape[1:] + (4, 4))
+
+    @cached_property
+    def _gram_cache(self) -> dict:
+        return {}
+
+    def _gram_densities(self, site: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """Per density of :meth:`region` around ``site``: the axis order
+        that puts ``site`` first and the rest of the density's support after
+        it, and the density on those axes as ``T[a, x, c, y]`` (``a``, ``c``
+        the site's bit); computed once per site and model."""
+        if site not in self._gram_cache:
+            forms = []
+            for term in (self.terms[m] for m in self.region(site)):
+                k, p = term.n_support, term.support.index(site)
+                support = (site,) + tuple(s for s in term.support if s != site)
+                t = np.moveaxis(term.matrix.reshape((2,) * 2 * k), (p, k + p),
+                                (0, k)).reshape((2, 2 ** (k - 1)) * 2)
+                forms.append((tuple(core._axis_order(support, self.n_sites)), t))
+            self._gram_cache[site] = forms
+        return self._gram_cache[site]
 
 
 def normalize(model: ChainModel) -> ChainModel:
@@ -452,7 +485,9 @@ def _feedback(model: ChainModel, measurement: PovmMeasurement,
 
     Returns the input energy, the energy extracted at each site, the total
     energy left, the density profile, the rotated branches and their
-    probabilities.
+    probabilities.  The profile recomputes only the densities on the
+    feedback sites' regions and copies the rest, which no rotation
+    touches, from the measured branches.
     """
     if model.ground.degenerate:
         raise InvariantViolation("degenerate ground state; protocol undefined")
@@ -485,7 +520,10 @@ def _feedback(model: ChainModel, measurement: PovmMeasurement,
         density_route.append(-sum(np.vdot(p, model.local_energy(site, u_g)).real
                                   for p, u_g in pairs))
     residual = float(np.vdot(block, model.apply_hamiltonian(block)).real)
-    profile = model.site_energies(block)
+    # a one-site rotation leaves every density off its support unchanged
+    touched = sorted({m for op, _ in feedback for m in model.region(op.support[0])})
+    profile = measured.copy()
+    profile[touched] = model.site_energies(block, touched)
     extracted = tuple(-float(sum(profile[m] for m in model.region(op.support[0])))
                       for op, _ in feedback)
     for (op, _), e, d in zip(feedback, extracted, density_route):
@@ -629,7 +667,7 @@ def best_teleportable_energy(model: ChainModel,
     block, _, e_in = _branches(model, measurement)
     best = (-math.inf,)
     for site in sites:
-        grams = [model.local_gram(site, psi) for psi in block.T]
+        grams = model.local_gram(site, block)
         lows = [core.lowest_unitary_energy(gram) for gram in grams]
         value = sum(core.one_site_energy(gram, (core.PAULI_I,)) - low
                     for gram, (low, _) in zip(grams, lows))

@@ -232,14 +232,17 @@ def ground_state(H, scale: float = 1.0) -> GroundState:
     dense ``H``, and a CSR up to 256 dimensions (8 sites), gets the full
     dense eigendecomposition, measured to be no slower than Krylov there;
     a larger CSR gets a seeded Lanczos solver in plain numpy
-    (:func:`_krylov_lowest_pair`: two passes for the pair, one more for the
-    gap).  ``scale`` is the operator's energy scale: ``H`` must be finite
-    and Hermitian within ``1e-10 * scale`` (checked here when dense, on the
-    mask diagonals by ``ChainModel.hamiltonian`` for a CSR), the eigenpair
-    must satisfy ``|H v - E v| <= 1e-9 * scale``, and a gap not above
-    ``1e-8 * scale`` (so any gap of a zero operator) is reported as
-    degenerate.  The residual is summed in units of ``scale``, so it does
-    not overflow for couplings as large as 1e300.
+    (:func:`_krylov_lowest_pair`), on the two half-length bit-parity blocks
+    when every stored entry conserves parity: pass 1 in each block, a
+    replay of the recorded coefficients for the vector, and a gap pass that
+    stops at eigenvalue accuracy; the vector comes back embedded in the
+    full space.  ``scale`` is the operator's energy scale: ``H`` must be
+    finite and Hermitian within ``1e-10 * scale`` (checked here when dense,
+    on the mask diagonals by ``ChainModel.hamiltonian`` for a CSR), the
+    eigenpair must satisfy ``|H v - E v| <= 1e-9 * scale`` on the full
+    ``H``, and a gap not above ``1e-8 * scale`` (so any gap of a zero
+    operator) is reported as degenerate.  The residual is summed in units
+    of ``scale``, so it does not overflow for couplings as large as 1e300.
     """
     dim = H.shape[0]
     sparse = not isinstance(H, np.ndarray)
@@ -269,12 +272,20 @@ def _krylov_lowest_pair(H, dim: int, scale: float
     """Lowest eigenvalue, its vector and the gap above it of a CSR ``H``,
     by Lanczos on ``(H - s*I) / s``, ``s`` twice the Gershgorin row-sum
     bound, so every eigenvalue it sees lies in [-1.5, -0.5]; the bound is
-    summed in units of ``scale`` and refused beyond the double range.  Pass
-    1 stops when the Ritz residual estimate falls to ``1e-2 * 1e-9 *
-    scale``; pass 2 replays the same seeded recurrence to sum the Ritz
-    vector, so no basis is stored and repeated solves are bit-identical.
-    One Krylov space holds a single direction of a repeated eigenvalue, so
-    the gap comes from a third run, on the complement of the ground vector.
+    summed in units of ``scale`` and refused beyond the double range.
+
+    When every stored entry of ``H`` joins two basis states of equal bit
+    parity (z fields and xx, yy or zz bonds do), ``H`` is solved as its
+    even and odd blocks, each half as long (:func:`_parity_rows`);
+    otherwise as one block.  Pass 1 runs in each block and stops when the
+    Ritz residual estimate falls to ``1e-2 * 1e-9 * scale``.  In the block
+    with the lower Ritz value, a replay of pass 1's recorded coefficients
+    sums the Ritz vector, so no basis is stored and repeated solves are
+    bit-identical.  One Krylov space holds a single direction of a
+    repeated eigenvalue, so a gap pass runs on the complement of the
+    ground vector in that block and stops at eigenvalue accuracy; the gap
+    is the lower of its value and the other block's lowest.  A block is
+    built when a pass needs it and dropped after, so at most one is held.
     """
     unit = scale if scale > 0 else 1.0
     # the row sums of |H| / unit on the index arrays of H, not a copy of them
@@ -288,24 +299,63 @@ def _krylov_lowest_pair(H, dim: int, scale: float
     tol = 1e-2 * ATOL_RESIDUAL / c
     rng = np.random.default_rng(0)
 
-    def shifted(v):
-        w = H @ v
-        w *= (1.0 / unit) / c
-        w -= v
-        return w
+    def shifted(rows):
+        block = _parity_block(H, rows)
 
-    start = _unit(rng.standard_normal(dim).astype(H.dtype))
-    lowest, ritz = _lanczos(shifted, start, tol)
-    vec = _unit(_lanczos(shifted, start, tol, ritz))
+        def apply(v):
+            w = block @ v
+            w *= (1.0 / unit) / c
+            w -= v
+            return w
+
+        return apply
+
+    def first_pass(rows):
+        size = dim if rows is None else dim // 2
+        start = _unit(rng.standard_normal(size).astype(H.dtype))
+        return _lanczos(shifted(rows), start, tol), start, rows
+
+    ((lowest, ritz, alphas, betas), start, rows), *other = sorted(
+        map(first_pass, _parity_rows(H)), key=lambda run: run[0][0])
+    apply = shifted(rows)
+    vec = _unit(_ritz_vector(apply, start, ritz, alphas, betas))
 
     def deflated(v):
-        w = shifted(v)
+        w = apply(v)
         w -= vec * _dot(vec, w)
         return w
 
-    other = rng.standard_normal(dim).astype(H.dtype)
-    second, _ = _lanczos(deflated, _unit(other - vec * _dot(vec, other)), tol)
+    rest = rng.standard_normal(vec.size).astype(H.dtype)
+    second = _lanczos(deflated, _unit(rest - vec * _dot(vec, rest)), tol,
+                      values_only=True)[0]
+    second = min([second] + [run[0][0] for run in other])
+    if rows is not None:
+        vec, block_vec = np.zeros(dim, dtype=vec.dtype), vec
+        vec[rows] = block_vec
     return unit * (c * (1.0 + lowest)), vec, unit * (c * max(second - lowest, 0.0))
+
+
+def _parity_rows(H) -> list:
+    """The row masks of the even and odd bit-parity blocks of a CSR ``H``,
+    or ``[None]`` when a stored entry joins basis states of unequal parity."""
+    odd = np.bitwise_count(np.arange(H.shape[0], dtype=H.indices.dtype)) & 1
+    if not np.array_equal(np.repeat(odd, np.diff(H.indptr)),
+                          np.bitwise_count(H.indices) & 1):
+        return [None]
+    return [odd == 0, odd == 1]
+
+
+def _parity_block(H, rows):
+    """The block of a CSR ``H`` on the parity rows ``rows`` (``H`` itself
+    for ``None``).  Basis state ``i`` is entry ``i >> 1`` of its block, so
+    the block keeps the data of its rows and their columns shifted right
+    by one, still sorted; no scipy indexing is used."""
+    if rows is None:
+        return H
+    lengths, half = np.diff(H.indptr), H.shape[0] // 2
+    keep = np.repeat(rows, lengths)
+    return type(H)((H.data[keep], H.indices[keep] >> 1,
+                    np.r_[0, np.cumsum(lengths[rows])]), shape=(half, half))
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -317,25 +367,23 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / math.sqrt(_dot(v, v).real)
 
 
-def _lanczos(apply, v: np.ndarray, tol: float, ritz=None):
-    """Lowest Ritz pair of the Hermitian map ``apply`` from the unit vector
+def _lanczos(apply, v: np.ndarray, tol: float, values_only: bool = False):
+    """Lowest Ritz value of the Hermitian map ``apply`` from the unit vector
     ``v``, by the three-term Lanczos recurrence without reorthogonalization.
 
-    Without ``ritz``: runs until ``|beta_j s_j| <= tol`` (``s`` the lowest
-    eigenvector of the tridiagonal matrix, solved every few steps and at a
-    breakdown) and returns the Ritz value and ``s``.  With ``ritz``: replays
-    the identical recurrence for ``len(ritz)`` steps and returns the Ritz
-    vector ``sum_j ritz[j] v_j``.  The extreme Ritz pair stays accurate
-    after orthogonality is lost (Paige 1980).
+    Returns the Ritz value, its eigenvector ``s`` of the tridiagonal matrix
+    and the recorded coefficients ``alphas`` and ``betas`` (for
+    :func:`_ritz_vector`).  The tridiagonal matrix is solved every few
+    steps and at a breakdown.  The run stops when the residual estimate
+    ``r = |beta_j s_j|`` is at most ``tol``; with ``values_only``, also
+    when the Ritz value's error estimate ``r**2 / delta`` is, ``delta`` the
+    distance to the next Ritz value (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 11).  The extreme Ritz pair stays accurate after
+    orthogonality is lost (Paige 1980).
     """
     alphas, betas = [], []
     prev, beta = np.zeros_like(v), 0.0
-    out = None if ritz is None else np.zeros_like(v)
     for step in range(_LANCZOS_MAX_STEPS):
-        if ritz is not None:
-            out += ritz[step] * v
-            if step + 1 == len(ritz):
-                return out
         w = apply(v)
         alpha = _dot(v, w).real
         w -= alpha * v
@@ -343,16 +391,33 @@ def _lanczos(apply, v: np.ndarray, tol: float, ritz=None):
         beta = math.sqrt(_dot(w, w).real)
         alphas.append(alpha)
         betas.append(beta)
-        if ritz is None and (beta <= tol
-                             or (step + 1) % _LANCZOS_CHECK_EVERY == 0):
+        if beta <= tol or (step + 1) % _LANCZOS_CHECK_EVERY == 0:
             band = np.diag(alphas) + np.diag(betas[:-1], 1) \
                 + np.diag(betas[:-1], -1)
             vals, vecs = np.linalg.eigh(band)
-            if abs(beta * vecs[-1, 0]) <= tol:
-                return float(vals[0]), vecs[:, 0]
+            r = abs(beta * vecs[-1, 0])
+            if r <= tol or (values_only and step > 0
+                            and r * r <= tol * (vals[1] - vals[0])):
+                return float(vals[0]), vecs[:, 0], alphas, betas
         prev, v = v, w / beta
     raise EigensolverError(
         f"Lanczos eigensolver did not converge in {_LANCZOS_MAX_STEPS} steps")
+
+
+def _ritz_vector(apply, v: np.ndarray, ritz, alphas, betas) -> np.ndarray:
+    """``sum_j ritz[j] v_j`` over the Lanczos vectors of :func:`_lanczos`
+    from ``v``, rebuilt from its recorded ``alphas`` and ``betas`` with no
+    inner product: the same operations on the same numbers, so the vectors
+    are bit-identical to those of the recorded run."""
+    prev, beta = np.zeros_like(v), 0.0
+    out = ritz[0] * v
+    for coef, alpha, beta_next in zip(ritz[1:], alphas, betas):
+        w = apply(v)
+        w -= alpha * v
+        w -= beta * prev
+        prev, v, beta = v, w / beta_next, beta_next
+        out += coef * v
+    return out
 
 
 def expectation(state: StateVector, op: np.ndarray):

@@ -52,6 +52,33 @@ def krylov_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lanczos_matvecs(monkeypatch):
+    """The Lanczos passes of the Krylov solves, in call order, each as
+    ``(name, operator dimension, operator applications)``.  The names are
+    ``"pass 1"`` (one per parity block), ``"replay"`` and ``"gap pass"``
+    (both in the block of the ground state)."""
+    passes = []
+
+    def counted(run, name):
+        def wrapper(apply, v, *args, **kwargs):
+            entry = ["gap pass" if kwargs.get("values_only") else name, v.size, 0]
+            passes.append(entry)
+
+            def tally(u):
+                entry[2] += 1
+                return apply(u)
+
+            return run(tally, v, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "_lanczos", counted(core._lanczos, "pass 1"))
+    monkeypatch.setattr(core, "_ritz_vector",
+                        counted(core._ritz_vector, "replay"))
+    return passes
+
+
 @pytest.fixture(autouse=True)
 def _silence_separation_warnings():
     with warnings.catch_warnings():

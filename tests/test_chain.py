@@ -439,6 +439,29 @@ def test_protocol_random_chains_route_equivalence(random_chains10):
         assert -1e-12 <= run.e_b <= run.e_a + 1e-12
 
 
+def test_protocol_profile_matches_full_site_energies(ising12, random_chains10):
+    # only the densities around B are recomputed after the rotation
+    meas = core.projective_pauli_measurement((1.0, 0, 0), 1)
+    g_b = LocalOperator((6,), core.PAULI_Y)
+    for model in (ising12, random_chains10[0]):
+        run = chain.run_protocol(model, ChainProtocolSpec(1, 6, meas, g_b, 0.3))
+        branches = np.stack([math.sqrt(o.probability) * o.state.amplitudes
+                             for o in run.outcomes], axis=1)
+        full = model.site_energies(branches)
+        assert np.abs(np.array(run.site_energies) - full).max() \
+            <= 1e-12 * model.energy_scale
+
+
+def test_local_gram_takes_one_vector_or_a_block(random_chains10):
+    model = random_chains10[0]
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((2**10, 2)) + 1j * rng.standard_normal((2**10, 2))
+    grams = model.local_gram(4, block)
+    assert grams.shape == (2, 4, 4)
+    for gram, vec in zip(grams, block.T):
+        assert np.abs(gram - model.local_gram(4, vec)).max() < 1e-12
+
+
 def test_protocol_binary_povm_closed_form(ising8):
     # non-projective +-1 labeled measurement still matches the closed form
     rng = np.random.default_rng(55)
@@ -1261,6 +1284,55 @@ def test_krylov_sees_repeated_ground_level(build, n, seed, krylov_calls):
     gs, vals, _ = _check_against_dense(build(n, seed), krylov_calls)
     assert gs.degenerate
     assert 0.0 <= gs.gap < core.GAP_DEGENERATE
+
+
+def parity_chain(n, x_term=0.0, bond=core.PAULI_X):
+    """Open chain ``x = +1*z + x_term*x`` with a weak ``bond`` (x or x + y).
+
+    Without the x term every term flips basis bits in pairs, so bit parity
+    is conserved; the ground level, near all spins down (n set bits), lies
+    in the odd block for odd ``n``, and one spin flip, the next level, in
+    the even block.  An x + y bond makes the Hamiltonian complex.
+    """
+    return ChainModel(
+        n, "open", tuple(core.PAULI_Z + x_term * core.PAULI_X for _ in range(n)),
+        (Channel(tuple(bond for _ in range(n)),
+                 tuple(0.1 for _ in range(n - 1))),),
+        tuple(0.0 for _ in range(n)))
+
+
+@pytest.mark.parametrize("bond", [core.PAULI_X, core.PAULI_X + core.PAULI_Y],
+                         ids=["x", "x+y"])
+def test_krylov_ground_level_in_odd_block(bond, krylov_calls):
+    model = parity_chain(9, bond=bond)
+    assert np.iscomplexobj(model.hamiltonian) == (bond is not core.PAULI_X)
+    gs, vals, vecs = _check_against_dense(model, krylov_calls)
+    odd = np.bitwise_count(np.arange(2**9)) & 1
+    assert np.abs(vecs[odd == 0, 0]).max() < 1e-12  # odd ground level
+    assert np.abs(vecs[odd == 1, 1]).max() < 1e-12  # even first excitation
+    assert not gs.state.amplitudes[odd == 0].any()
+    assert not gs.degenerate
+    # the gap is read off the other block's lowest level
+    assert gs.gap == pytest.approx(vals[1] - vals[0], abs=1e-8)
+    overlap = abs(np.vdot(vecs[:, 0], gs.state.amplitudes))
+    assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("build,blocks", [
+    (lambda: ising.build(ising.IsingParams(1.0, 10)), 2),
+    (lambda: xyz_chain(9, 0), 2),
+    (lambda: parity_chain(9), 2),
+    (lambda: parity_chain(9, x_term=0.2), 1),
+], ids=["ising10", "xyz9", "parity9", "x-field9"])
+def test_krylov_block_selection(build, blocks, lanczos_matvecs):
+    # chains whose every term flips bits in pairs are solved as two
+    # half-length parity blocks, any other as one
+    model = build()
+    lanczos_matvecs.clear()
+    core.ground_state(model.hamiltonian, model.energy_scale)
+    size = model.hamiltonian.shape[0] // blocks
+    assert [(name, dim) for name, dim, _ in lanczos_matvecs] == \
+        [("pass 1", size)] * blocks + [("replay", size), ("gap pass", size)]
 
 
 def test_krylov_ground_is_deterministic():

@@ -141,25 +141,6 @@ def test_ground_state_krylov_matches_dense():
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.fixture
-def lanczos_matvecs(monkeypatch):
-    """Operator applications of each Lanczos pass, in call order."""
-    counts = []
-    run = core._lanczos
-
-    def counted(apply, *args):
-        counts.append(0)
-
-        def tally(v):
-            counts[-1] += 1
-            return apply(v)
-
-        return run(tally, *args)
-
-    monkeypatch.setattr(core, "_lanczos", counted)
-    return counts
-
-
 def _krylov_against_dense(h, scale=1.0):
     assert h.shape[0] > core.DENSE_DIM_LIMIT  # so the Lanczos solver runs
     gs = core.ground_state(h, scale)
@@ -173,8 +154,9 @@ def _krylov_against_dense(h, scale=1.0):
 
 
 def test_lanczos_breaks_off_on_few_levels(lanczos_matvecs):
-    # the uncoupled chain x = -1*z: ten distinct levels -9, -7, ..., 9, so
-    # the recurrence reaches an invariant subspace after ten steps
+    # the uncoupled chain x = -1*z: ten distinct levels -9, -7, ..., 9,
+    # five in each parity block, so each pass reaches an invariant subspace
+    # within ten steps; the gap of 2 lies between the blocks
     import scipy.sparse as sp
 
     from qetsim.chain import ChainModel
@@ -186,7 +168,10 @@ def test_lanczos_breaks_off_on_few_levels(lanczos_matvecs):
     assert gs.energy == pytest.approx(-9.0, abs=1e-12)
     assert gs.gap == pytest.approx(2.0, abs=1e-12)
     assert not gs.degenerate
-    assert lanczos_matvecs[0] <= 10 and lanczos_matvecs[2] <= 9
+    assert [(name, dim) for name, dim, _ in lanczos_matvecs] == [
+        ("pass 1", 256), ("pass 1", 256), ("replay", 256), ("gap pass", 256)]
+    even, odd, _, gap = (count for _, _, count in lanczos_matvecs)
+    assert even <= 10 and odd <= 10 and gap <= 9
 
 
 def test_lanczos_repeated_ground_level_complex():
