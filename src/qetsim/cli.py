@@ -9,6 +9,7 @@ identical configurations produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -137,7 +138,11 @@ def _load_config_defaults(argv) -> dict:
     return defaults
 
 
+@functools.cache
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subparsers by name, built on first use
+    and then shared by every :func:`main` call, which must never write into
+    them (``build_parser.__wrapped__()`` builds a fresh, private pair)."""
     parser = _Parser(prog="qetsim", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -495,6 +500,12 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser,
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit code.
+
+    ``main`` can be called any number of times in one process.  The parser
+    is built once and reused; a ``--config`` file is applied to a private
+    parser built for that call alone, so its values never reach another.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
@@ -503,6 +514,9 @@ def main(argv=None) -> int:
             if not argv or argv[0] not in subparsers:
                 raise UsageError("--config needs a leading subcommand")
             defaults.pop("config", None)
+            # set_defaults writes into the subparser, and the common
+            # options' actions are shared by all six: never the cached pair
+            parser, subparsers = build_parser.__wrapped__()
             _apply_config_defaults(subparsers[argv[0]], defaults)
         args = parser.parse_args(argv)
         handler = COMMANDS[args.command]

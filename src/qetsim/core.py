@@ -277,10 +277,12 @@ def _krylov_lowest_pair(H, dim: int, scale: float
     When every stored entry of ``H`` joins two basis states of equal bit
     parity (z fields and xx, yy or zz bonds do), ``H`` is solved as its
     even and odd blocks, each half as long (:func:`_parity_rows`);
-    otherwise as one block.  Pass 1 runs in each block and stops when the
-    Ritz residual estimate falls to ``1e-2 * 1e-9 * scale``.  In the block
-    with the lower Ritz value, a replay of pass 1's recorded coefficients
-    sums the Ritz vector, so no basis is stored and repeated solves are
+    otherwise as one block.  Pass 1 runs in each block and stops at
+    eigenvalue accuracy.  The block with the lower Ritz value resumes its
+    recurrence until the Ritz residual estimate falls to
+    ``1e-2 * 1e-9 * scale``, with the same steps and checks as one
+    uninterrupted run; a replay of the recorded coefficients then sums the
+    Ritz vector, so no basis is stored and repeated solves are
     bit-identical.  One Krylov space holds a single direction of a
     repeated eigenvalue, so a gap pass runs on the complement of the
     ground vector in that block and stops at eigenvalue accuracy; the gap
@@ -313,12 +315,17 @@ def _krylov_lowest_pair(H, dim: int, scale: float
     def first_pass(rows):
         size = dim if rows is None else dim // 2
         start = _unit(rng.standard_normal(size).astype(H.dtype))
-        return _lanczos(shifted(rows), start, tol), start, rows
+        return _lanczos(shifted(rows), start, tol, values_only=True), start, rows
 
-    ((lowest, ritz, alphas, betas), start, rows), *other = sorted(
-        map(first_pass, _parity_rows(H)), key=lambda run: run[0][0])
+    passes = sorted(map(first_pass, _parity_rows(H)), key=lambda p: p[0][0])
+    (lowest, ritz, run), start, rows = passes[0]
+    other = [p[0][0] for p in passes[1:]]
+    del passes  # the other block's vectors
     apply = shifted(rows)
-    vec = _unit(_ritz_vector(apply, start, ritz, alphas, betas))
+    if not run.converged:
+        lowest, ritz, run = _lanczos(apply, start, tol, resume=run)
+    vec = _unit(_ritz_vector(apply, start, ritz, run.alphas, run.betas))
+    del run  # its last two vectors
 
     def deflated(v):
         w = apply(v)
@@ -328,7 +335,7 @@ def _krylov_lowest_pair(H, dim: int, scale: float
     rest = rng.standard_normal(vec.size).astype(H.dtype)
     second = _lanczos(deflated, _unit(rest - vec * _dot(vec, rest)), tol,
                       values_only=True)[0]
-    second = min([second] + [run[0][0] for run in other])
+    second = min([second] + other)
     if rows is not None:
         vec, block_vec = np.zeros(dim, dtype=vec.dtype), vec
         vec[rows] = block_vec
@@ -367,23 +374,43 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / math.sqrt(_dot(v, v).real)
 
 
-def _lanczos(apply, v: np.ndarray, tol: float, values_only: bool = False):
+@dataclass(frozen=True, eq=False)
+class _Recurrence:
+    """Where a :func:`_lanczos` run stopped: its last Lanczos vector ``v``,
+    that step's residual ``w`` (``betas[-1]`` times the next vector), the
+    recorded coefficients, and whether the residual test held."""
+    v: np.ndarray
+    w: np.ndarray
+    alphas: list
+    betas: list
+    converged: bool
+
+
+def _lanczos(apply, v: np.ndarray, tol: float, values_only: bool = False,
+             resume: _Recurrence | None = None):
     """Lowest Ritz value of the Hermitian map ``apply`` from the unit vector
     ``v``, by the three-term Lanczos recurrence without reorthogonalization.
 
     Returns the Ritz value, its eigenvector ``s`` of the tridiagonal matrix
-    and the recorded coefficients ``alphas`` and ``betas`` (for
-    :func:`_ritz_vector`).  The tridiagonal matrix is solved every few
-    steps and at a breakdown.  The run stops when the residual estimate
-    ``r = |beta_j s_j|`` is at most ``tol``; with ``values_only``, also
-    when the Ritz value's error estimate ``r**2 / delta`` is, ``delta`` the
-    distance to the next Ritz value (Parlett, The Symmetric Eigenvalue
+    and the :class:`_Recurrence` where the run stopped (its ``alphas`` and
+    ``betas`` feed :func:`_ritz_vector`).  The tridiagonal matrix is solved
+    every few steps and at a breakdown.  The run stops when the residual
+    estimate ``r = |beta_j s_j|`` is at most ``tol``; with ``values_only``,
+    also when the Ritz value's error estimate ``r**2 / delta`` is, ``delta``
+    the distance to the next Ritz value (Parlett, The Symmetric Eigenvalue
     Problem, ch. 11).  The extreme Ritz pair stays accurate after
-    orthogonality is lost (Paige 1980).
+    orthogonality is lost (Paige 1980).  ``resume``, the recurrence of an
+    earlier run from ``v``, continues that run with the same step count
+    and check schedule, so it ends exactly where one run would have.
     """
-    alphas, betas = [], []
-    prev, beta = np.zeros_like(v), 0.0
-    for step in range(_LANCZOS_MAX_STEPS):
+    if resume is None:
+        alphas, betas = [], []
+        prev, beta = np.zeros_like(v), 0.0
+    else:
+        alphas, betas = resume.alphas, resume.betas
+        beta = betas[-1]
+        prev, v = resume.v, resume.w / beta
+    for step in range(len(alphas), _LANCZOS_MAX_STEPS):
         w = apply(v)
         alpha = _dot(v, w).real
         w -= alpha * v
@@ -398,7 +425,8 @@ def _lanczos(apply, v: np.ndarray, tol: float, values_only: bool = False):
             r = abs(beta * vecs[-1, 0])
             if r <= tol or (values_only and step > 0
                             and r * r <= tol * (vals[1] - vals[0])):
-                return float(vals[0]), vecs[:, 0], alphas, betas
+                return float(vals[0]), vecs[:, 0], _Recurrence(
+                    v, w, alphas, betas, r <= tol)
         prev, v = v, w / beta
     raise EigensolverError(
         f"Lanczos eigensolver did not converge in {_LANCZOS_MAX_STEPS} steps")

@@ -10,6 +10,7 @@ next to a direct 4x4 numerical protocol run that must reproduce them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,12 +135,23 @@ def output_energy(params: MinimalParams, theta: float) -> float:
     return chain.qubit_closed_form(*_eta_xi(params), theta)
 
 
+@functools.cache
+def _check_grid() -> tuple[np.ndarray, np.ndarray]:
+    """``sin(2 theta)`` and ``sin(theta)**2`` on the 10,000-point grid of
+    [0, pi) that :func:`optimize` checks its maximum on, computed once."""
+    thetas = np.linspace(0.0, math.pi, 10_000, endpoint=False)
+    grid = np.sin(2 * thetas), np.sin(thetas) ** 2
+    for values in grid:
+        values.flags.writeable = False
+    return grid
+
+
 def optimize(params: MinimalParams) -> tuple[float, float]:
     """Optimal angle (2 theta in the first quadrant) and the maximal output."""
     eta, xi = _eta_xi(params)
     theta, e_b_max = chain.optimal_angle(eta, xi)
-    thetas = np.linspace(0.0, math.pi, 10_000, endpoint=False)
-    sweep = 0.5 * eta * np.sin(2 * thetas) - xi * np.sin(thetas) ** 2
+    sin_2theta, sin_theta_sq = _check_grid()
+    sweep = 0.5 * eta * sin_2theta - xi * sin_theta_sq
     check_at_most("theta sweep maximum", sweep.max(), e_b_max, 1e-12,
                   params.coupling_scale)
     return theta, e_b_max

@@ -56,13 +56,20 @@ def krylov_calls(monkeypatch):
 def lanczos_matvecs(monkeypatch):
     """The Lanczos passes of the Krylov solves, in call order, each as
     ``(name, operator dimension, operator applications)``.  The names are
-    ``"pass 1"`` (one per parity block), ``"replay"`` and ``"gap pass"``
-    (both in the block of the ground state)."""
+    ``"pass 1"`` (one per parity block), then in the block of the ground
+    state ``"resume"`` (when its pass 1 stopped before the residual test
+    held), ``"replay"`` and ``"gap pass"``."""
     passes = []
 
-    def counted(run, name):
+    def lanczos_role(kwargs):
+        if kwargs.get("resume") is not None:
+            return "resume"
+        # the one fresh run after the replay is the gap pass
+        return "gap pass" if passes and passes[-1][0] == "replay" else "pass 1"
+
+    def counted(run, role):
         def wrapper(apply, v, *args, **kwargs):
-            entry = ["gap pass" if kwargs.get("values_only") else name, v.size, 0]
+            entry = [role(kwargs), v.size, 0]
             passes.append(entry)
 
             def tally(u):
@@ -73,9 +80,9 @@ def lanczos_matvecs(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(core, "_lanczos", counted(core._lanczos, "pass 1"))
+    monkeypatch.setattr(core, "_lanczos", counted(core._lanczos, lanczos_role))
     monkeypatch.setattr(core, "_ritz_vector",
-                        counted(core._ritz_vector, "replay"))
+                        counted(core._ritz_vector, lambda kwargs: "replay"))
     return passes
 
 

@@ -1326,13 +1326,15 @@ def test_krylov_ground_level_in_odd_block(bond, krylov_calls):
 ], ids=["ising10", "xyz9", "parity9", "x-field9"])
 def test_krylov_block_selection(build, blocks, lanczos_matvecs):
     # chains whose every term flips bits in pairs are solved as two
-    # half-length parity blocks, any other as one
+    # half-length parity blocks, any other as one; pass 1 stops at
+    # eigenvalue accuracy and only the ground block resumes
     model = build()
     lanczos_matvecs.clear()
     core.ground_state(model.hamiltonian, model.energy_scale)
     size = model.hamiltonian.shape[0] // blocks
     assert [(name, dim) for name, dim, _ in lanczos_matvecs] == \
-        [("pass 1", size)] * blocks + [("replay", size), ("gap pass", size)]
+        [("pass 1", size)] * blocks + [("resume", size), ("replay", size),
+                                       ("gap pass", size)]
 
 
 def test_krylov_ground_is_deterministic():

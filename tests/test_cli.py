@@ -810,6 +810,59 @@ def test_config_file_unknown_key(capsys, tmp_path):
     assert "hh" in err
 
 
+def test_config_values_stay_in_their_own_call(capsys, tmp_path):
+    # every call in a process shares one parser, and the common options
+    # (--seed, --out) are shared by all subcommands: a config file's values
+    # must reach no later call
+    cfg = tmp_path / "run.cfg"
+    out_path = tmp_path / "run.json"
+    cfg.write_text(f"theta = 0\nseed = 5\nout = {out_path}\n")
+    code, out, _ = run_cli(capsys, "minimal", "--config", str(cfg),
+                           "--h", "1", "--k", "1")
+    assert (code, out) == (0, "")
+    configured = load_json(out_path.read_text())
+    assert configured["seed"] == 5
+    assert configured["E_B"] == pytest.approx(0.0, abs=1e-13)
+    code, out, _ = run_cli(capsys, "minimal", "--h", "1", "--k", "1")
+    assert code == 0
+    payload = load_json(out)
+    assert payload["seed"] == 0
+    assert payload["E_B"] > 0
+    code, out, _ = run_cli(capsys, "ising", "--n", "1:3")
+    assert code == 0
+    assert "# seed = 0" in out.splitlines()
+
+
+def test_refused_config_leaves_later_calls_alone(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 1:5\nfit = maybe\n")
+    before = run_cli(capsys, "ising", "--n", "1:3")
+    code, out, err = run_cli(capsys, "ising", "--config", str(cfg))
+    _assert_one_line_failure(code, out, err)
+    assert run_cli(capsys, "ising", "--n", "1:3") == before
+    assert before[0] == 0 and "# fit = False" in before[1].splitlines()
+
+
+def test_parser_built_once_per_process(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 0\n")
+    cli.build_parser.cache_clear()
+    for argv in (["minimal", "--h", "1", "--k", "1"], ["ising", "--n", "2"],
+                 ["minimal", "--config", str(cfg), "--h", "1", "--k", "1"],
+                 ["minimal", "--h", "1"], ["verify", "--suite", "bogus"]):
+        run_cli(capsys, *argv)
+    assert cli.build_parser.cache_info().misses == 1
+    # and importing the module builds nothing
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qetsim.cli as c; "
+         "print(c.build_parser.cache_info().misses)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
 def test_out_flag_writes_identical_bytes(capsys, tmp_path):
     out_path = tmp_path / "run.json"
     code, stdout, _ = run_cli(capsys, "minimal", "--h", "2", "--k", "0.5")

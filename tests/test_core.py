@@ -156,7 +156,9 @@ def _krylov_against_dense(h, scale=1.0):
 def test_lanczos_breaks_off_on_few_levels(lanczos_matvecs):
     # the uncoupled chain x = -1*z: ten distinct levels -9, -7, ..., 9,
     # five in each parity block, so each pass reaches an invariant subspace
-    # within ten steps; the gap of 2 lies between the blocks
+    # within ten steps; the gap of 2 lies between the blocks.  A breakdown
+    # ends pass 1 on the residual test, so the ground (even) block, its
+    # pass 1 within ten products, has no resume.
     import scipy.sparse as sp
 
     from qetsim.chain import ChainModel
@@ -172,6 +174,30 @@ def test_lanczos_breaks_off_on_few_levels(lanczos_matvecs):
         ("pass 1", 256), ("pass 1", 256), ("replay", 256), ("gap pass", 256)]
     even, odd, _, gap = (count for _, _, count in lanczos_matvecs)
     assert even <= 10 and odd <= 10 and gap <= 9
+
+
+def test_lanczos_resume_repeats_one_run():
+    # a pass stopped at eigenvalue accuracy and resumed ends bit for bit
+    # where one run to the residual test does
+    rng = np.random.default_rng(3)
+    half = rng.standard_normal((300, 300))
+    op = (half + half.T) / 60.0
+
+    def apply(v):
+        return op @ v
+
+    start = core._unit(rng.standard_normal(300))
+    tol = 1e-11
+    whole = core._lanczos(apply, start, tol)
+    first = core._lanczos(apply, start, tol, values_only=True)
+    assert whole[2].converged and not first[2].converged
+    assert len(first[2].alphas) < len(whole[2].alphas)
+    resumed = core._lanczos(apply, start, tol, resume=first[2])
+    assert resumed[0] == whole[0]
+    assert np.array_equal(resumed[1], whole[1])
+    assert resumed[2].alphas == whole[2].alphas
+    assert resumed[2].betas == whole[2].betas
+    assert np.array_equal(resumed[2].w, whole[2].w)
 
 
 def test_lanczos_repeated_ground_level_complex():

@@ -180,18 +180,20 @@ def test_oracle_refinement_gate():
 
 
 def _direct_mode_variance(lambda_a, n_modes, omega_max):
-    """Reference: every mode's trapezoid transform from explicit phases."""
+    """Reference: every mode's trapezoid transform as a direct sum,
+    ``T_k = exp(i w_k x_0) sum_j a_j z_k^j`` with ``z_k = exp(i w_k dx)``,
+    by Horner's rule over the samples ``j``, all modes at once."""
     dom = omega_max / n_modes
-    x = lambda_a.x
     weighted = lambda_a.dx * lambda_a.values
     weighted[[0, -1]] *= 0.5
-    variance = 0.0
-    rows = max(1, 2**18 // x.size)  # phase blocks of at most 2^18 entries
-    for start in range(0, n_modes, rows):
-        om = (np.arange(start, min(start + rows, n_modes)) + 1.0) * dom
-        transform = np.exp(1j * om[:, None] * x[None, :]) @ weighted
-        variance += float(np.sum(om * np.abs(transform) ** 2))
-    return variance * dom / math.pi
+    om = (np.arange(n_modes) + 1.0) * dom
+    z = np.exp(1j * om * lambda_a.dx)
+    transform = np.zeros(n_modes, dtype=complex)
+    for a_j in weighted[::-1]:
+        transform *= z
+        transform += a_j
+    transform *= np.exp(1j * om * lambda_a.x0)
+    return float(np.sum(om * np.abs(transform) ** 2)) * dom / math.pi
 
 
 def _rough_profile(seed, x0, dx, n=257):
