@@ -136,8 +136,8 @@ class ChainModel:
         mat = np.zeros((dim, dim), dtype=complex)
 
         def place(factors: dict[int, np.ndarray]) -> np.ndarray:
-            return reduce(np.kron, [factors.get(s, np.eye(2, dtype=complex))
-                                    for s in support])
+            return reduce(core.kron, [factors.get(s, np.eye(2, dtype=complex))
+                                      for s in support])
 
         mat += place({n: self.x_ops[n] - self.shifts[n] * np.eye(2)})
         for ch in self.channels:
@@ -170,7 +170,7 @@ class ChainModel:
         for ch in self.channels:
             for bond, g in enumerate(ch.couplings):
                 a, b = self.bond_sites(bond)
-                pieces.append(((a, b), np.kron(g * ch.y_ops[a], ch.y_ops[b])))
+                pieces.append(((a, b), core.kron(g * ch.y_ops[a], ch.y_ops[b])))
         index = np.arange(dim, dtype=np.int32)
         diags = {}
         # an overflowing sum is left to the non-finite check below

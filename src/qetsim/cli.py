@@ -119,7 +119,8 @@ def _range_values(spec: tuple[float, float, int], log: bool,
     return np.linspace(start, stop, count)
 
 
-def _load_config_defaults(argv) -> dict:
+def _load_config_defaults(argv) -> list[tuple[str, str]]:
+    """The ``(key, value)`` pairs of the ``--config`` file, in file order."""
     path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
@@ -127,15 +128,13 @@ def _load_config_defaults(argv) -> dict:
         elif arg.startswith("--config="):
             path = arg.split("=", 1)[1]
     if path is None:
-        return {}
-    defaults = {}
+        return []
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for _, key, value in core.key_value_lines(handle, path):
-                defaults[key.replace("-", "_")] = value
+            return [(key, value) for _, key, value
+                    in core.key_value_lines(handle, path) if key != "config"]
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    return defaults
 
 
 @functools.cache
@@ -479,24 +478,40 @@ _CONFIG_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 
 
 def _apply_config_defaults(subparser: argparse.ArgumentParser,
-                           defaults: dict) -> None:
-    actions = {a.dest: a for a in subparser._actions}
-    unknown = set(defaults) - set(actions)
+                           defaults: list[tuple[str, str]]) -> None:
+    """Set config values as the subparser's defaults.  A key names an
+    option by its long flag or its ``dest``, without leading dashes and
+    with ``-`` and ``_`` alike: ``range``, ``range_spec`` and ``range-spec``
+    all name ``--range``."""
+    actions = {}
+    for action in subparser._actions:
+        names = [action.dest] + [flag.lstrip("-") for flag in action.option_strings
+                                 if flag.startswith("--")]
+        actions.update((name.replace("-", "_"), action) for name in names)
+    unknown = {key for key, _ in defaults if key.replace("-", "_") not in actions}
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    typed = {}
-    for key, value in defaults.items():
-        action = actions[key]
+    typed, seen = {}, {}
+    for key, value in defaults:
+        action = actions[key.replace("-", "_")]
+        if action.dest in seen:
+            raise UsageError(f"config keys {seen[action.dest]!r} and {key!r} "
+                             f"both set {(action.option_strings or [key])[-1]}")
+        seen[action.dest] = key
         try:
             if action.type is not None:
-                typed[key] = action.type(value)
+                typed[action.dest] = action.type(value)
             elif isinstance(action.default, bool):
-                typed[key] = _CONFIG_BOOLEANS[value.lower()]
+                typed[action.dest] = _CONFIG_BOOLEANS[value.lower()]
             else:
-                typed[key] = value
+                typed[action.dest] = value
         except (ValueError, KeyError):
             raise UsageError(f"config key {key!r}: bad value {value!r}")
     subparser.set_defaults(**typed)
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
 
 
 def main(argv=None) -> int:
@@ -505,15 +520,18 @@ def main(argv=None) -> int:
     ``main`` can be called any number of times in one process.  The parser
     is built once and reused; a ``--config`` file is applied to a private
     parser built for that call alone, so its values never reach another.
+    A warning that the caller's filters let through is written to stderr
+    as the one line ``warning: <message>``; a caller that records warnings
+    still gets the warning itself.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
+    saved_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         defaults = _load_config_defaults(argv)
         if defaults:
             if not argv or argv[0] not in subparsers:
                 raise UsageError("--config needs a leading subcommand")
-            defaults.pop("config", None)
             # set_defaults writes into the subparser, and the common
             # options' actions are shared by all six: never the cached pair
             parser, subparsers = build_parser.__wrapped__()
@@ -527,6 +545,8 @@ def main(argv=None) -> int:
     except (InvariantViolation, EigensolverError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = saved_format
 
 
 if __name__ == "__main__":

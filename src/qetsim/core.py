@@ -9,11 +9,11 @@ Conventions
 -----------
 Site 0 is the most significant bit of the amplitude index, so a basis state
 ``|b_0 b_1 ... b_{N-1}>`` has index ``sum(b_s << (N-1-s))`` and operators on
-ordered sites compose by plain ``numpy.kron``.  All tolerances follow a three
-level scheme: 1e-12 for construction invariants, 1e-10 for algebraic
-identities, 1e-9 for eigensolver residuals.  :func:`check_close` and
-:func:`check_at_most` multiply the level by the model's declared coupling
-and fail on any NaN or inf.
+ordered sites compose by :func:`kron`, bit-identical to ``numpy.kron``.
+All tolerances follow a three level scheme: 1e-12 for construction
+invariants, 1e-10 for algebraic identities, 1e-9 for eigensolver residuals.
+:func:`check_close` and :func:`check_at_most` multiply the level by the
+model's declared coupling and fail on any NaN or inf.
 """
 
 from __future__ import annotations
@@ -73,6 +73,13 @@ def require_normal_scale(name: str, scale: float) -> float:
             f"{name} {scale!r} is too small: {ATOL_CONSTRUCT:g} times it is "
             f"below the smallest normal float {sys.float_info.min:.4g}")
     return scale
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2-D arrays: one multiply per entry, as in
+    ``numpy.kron``, so bit for bit its result, without its n-d bookkeeping."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
@@ -188,7 +195,7 @@ def embed_local(op: LocalOperator, n_total: int) -> np.ndarray:
         raise ValueError(f"support {op.support} out of range for {n_total} sites")
     k = op.n_support
     rest = n_total - k
-    full = np.kron(op.matrix, np.eye(2**rest, dtype=op.matrix.dtype))
+    full = kron(op.matrix, np.eye(2**rest, dtype=op.matrix.dtype))
     if k == n_total and op.support == tuple(range(n_total)):
         return full
     order = _axis_order(op.support, n_total)
@@ -598,7 +605,7 @@ def lowest_unitary_energy(gram: np.ndarray) -> tuple[float, np.ndarray]:
 # I (x) sigma_k for sigma_0 = I, X, Y, Z: the slack of the channel-cooling
 # dual is G - sum_k y_k (I (x) sigma_k), acting on the Kraus input index.
 _PAULI_BASIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
-_INPUT_PAULIS = np.stack([np.kron(PAULI_I, s) for s in _PAULI_BASIS])
+_INPUT_PAULIS = np.stack([kron(PAULI_I, s) for s in _PAULI_BASIS])
 
 
 def lowest_channel_energy(gram: np.ndarray, scale: float) -> tuple[float, float]:

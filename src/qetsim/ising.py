@@ -11,6 +11,7 @@ asserted against the infinite-chain values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,8 +66,13 @@ def per_site_shift(model: ChainModel) -> float:
     return float(-shifts.mean())
 
 
+@functools.lru_cache(maxsize=1024)
 def log_h(n: int) -> float:
-    """ln of the staircase product h(n) = prod_{k<n} k^(n-k)."""
+    """ln of the staircase product h(n) = prod_{k<n} k^(n-k).
+
+    An O(n) sum that a separation table asks for several times per n, so
+    the last 1024 values are kept.
+    """
     if n < 1:
         raise ValueError(f"argument must be >= 1, got {n}")
     return math.fsum((n - k) * math.log(k) for k in range(1, n))

@@ -28,11 +28,11 @@ from .core import (
 )
 
 _I4 = np.eye(4, dtype=complex)
-_SZ_A = np.kron(core.PAULI_Z, core.PAULI_I)
-_SZ_B = np.kron(core.PAULI_I, core.PAULI_Z)
-_SX_A = np.kron(core.PAULI_X, core.PAULI_I)
-_SX_B = np.kron(core.PAULI_I, core.PAULI_X)
-_SY_B = np.kron(core.PAULI_I, core.PAULI_Y)
+_SZ_A = core.kron(core.PAULI_Z, core.PAULI_I)
+_SZ_B = core.kron(core.PAULI_I, core.PAULI_Z)
+_SX_A = core.kron(core.PAULI_X, core.PAULI_I)
+_SX_B = core.kron(core.PAULI_I, core.PAULI_X)
+_SY_B = core.kron(core.PAULI_I, core.PAULI_Y)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,14 @@ def closed_form_ground(params: MinimalParams) -> StateVector:
     return StateVector(2, np.array([up, 0.0, 0.0, -dn], dtype=complex))
 
 
+@functools.lru_cache(maxsize=8)
 def build(params: MinimalParams) -> MinimalModel:
-    """Construct operators and the closed-form ground state, verified."""
+    """Construct operators and the closed-form ground state, verified.
+
+    The last 8 models are kept, so a run that asks again for the same
+    (h, k) gets the same read-only model without rebuilding or rechecking
+    it; a build that raises is not kept.
+    """
     r = params.energy_scale
     h, k = params.h, params.k
     h_a = h * _SZ_A + h * (h / r) * _I4
@@ -114,6 +120,8 @@ def build(params: MinimalParams) -> MinimalModel:
     check_at_most("minus the lowest eigenvalue", -numeric.energy, 0.0, 1e-10, scale)
     check_close("closed-form ground-state overlap",
                 abs(np.vdot(numeric.state.amplitudes, ground.amplitudes)), 1.0, 1e-10)
+    for arr in (h_a, h_b, v, ham):
+        arr.flags.writeable = False
     return MinimalModel(params, h_a, h_b, v, ham, ground)
 
 
@@ -207,7 +215,7 @@ def local_cooling_deficit(params: MinimalParams, w_b: LocalOperator) -> float:
         raise ValueError("W_B is not unitary within 1e-10")
     model = build(params)
     g = model.ground.amplitudes
-    w_full = np.kron(np.eye(2), w_b.matrix)
+    w_full = core.kron(np.eye(2), w_b.matrix)
     omega = np.zeros((4, 4), dtype=complex)
     for alpha in (1.0, -1.0):
         branch = w_full @ (_projector(alpha) @ g)
@@ -271,7 +279,7 @@ def max_teleported_energy(params: MinimalParams, m: PovmMeasurement,
     op = model.h_b + model.v
     total = 0.0
     for _, mop in m.operators:
-        branch = np.kron(mop.matrix, np.eye(2)) @ g
+        branch = core.kron(mop.matrix, np.eye(2)) @ g
         p = float(np.vdot(branch, branch).real)
         if p < core.PROB_FLOOR:
             continue

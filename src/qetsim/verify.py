@@ -127,7 +127,7 @@ def suite_minimal(seed: int) -> list[CheckResult]:
     for _ in range(200):
         site = int(rng.integers(0, 2))
         u = core.haar_unitary(2, rng)
-        full = np.kron(u, np.eye(2)) if site == 0 else np.kron(np.eye(2), u)
+        full = core.kron(u, np.eye(2)) if site == 0 else core.kron(np.eye(2), u)
         vec = full @ model.ground.amplitudes
         worst = np.min([worst, float(np.vdot(vec, model.hamiltonian @ vec).real)])
     _check(out, "minimal", "passivity", worst >= -1e-12, f"min energy {worst:.3e}")

@@ -810,6 +810,41 @@ def test_config_file_unknown_key(capsys, tmp_path):
     assert "hh" in err
 
 
+def test_config_keys_by_flag_name(capsys, tmp_path, profile_files):
+    lam, p_b = profile_files
+    argv = ("sweep", "field", "--param", "T")
+    want = run_cli(capsys, *argv, "--range", "2:8:3", "--lambda-file", lam,
+                   "--p-file", p_b)
+    assert want[0] == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"range = 2:8:3\nlambda-file = {lam}\np-file = {p_b}\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == want
+
+
+def test_config_keys_by_dest_name(capsys, tmp_path, profile_files):
+    lam, p_b = profile_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"range_spec = 2:8:3\nlambda_file = {lam}\np_file = {p_b}\n")
+    code, out, err = run_cli(capsys, "sweep", "field", "--param", "T",
+                             "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert "# range = 2:8:3" in out.splitlines()
+
+
+@pytest.mark.parametrize("text, keys", [
+    ("range = 2:8:3\nrange_spec = 2:8:4\n", "'range' and 'range_spec'"),
+    ("lambda_file = a.csv\nlambda-file = b.csv\n",
+     "'lambda_file' and 'lambda-file'"),
+    ("T = 3\nT = 4\n", "'T' and 'T'")])
+def test_config_keys_naming_one_option_twice(capsys, tmp_path, text, keys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "sweep", "field", "--param", "T",
+                             "--config", str(cfg))
+    _assert_one_line_failure(code, out, err)
+    assert f"config keys {keys} both set --" in err
+
+
 def test_config_values_stay_in_their_own_call(capsys, tmp_path):
     # every call in a process shares one parser, and the common options
     # (--seed, --out) are shared by all subcommands: a config file's values
@@ -841,6 +876,29 @@ def test_refused_config_leaves_later_calls_alone(capsys, tmp_path):
     _assert_one_line_failure(code, out, err)
     assert run_cli(capsys, "ising", "--n", "1:3") == before
     assert before[0] == 0 and "# fit = False" in before[1].splitlines()
+
+
+def test_readme_chain_example_warns_in_one_line(capsys, tmp_path):
+    # the chain model file and the command line of README.md
+    model = tmp_path / "ising.chain"
+    model.write_text(
+        "n_sites = 8\nboundary = periodic\nx = -1*z\nx[3] = -1*z + 0.2*x\n"
+        "bond = x ; -1.0\nbond = y ; 0.1, 0.2, 0.1, 0.2, 0.1, 0.2, 0.1, 0.2\n")
+    argv = ["chain", "--model", str(model), "--site-a", "1", "--site-b", "6",
+            "--direction", "x"]
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qetsim.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (0, out) and code == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: separation 3 < 5")
+    # a caller's filter still applies
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_parser_built_once_per_process(capsys, tmp_path):

@@ -72,6 +72,27 @@ def test_embed_matches_plain_kron():
     assert np.allclose(embed_local(gap, 3), full)
 
 
+def _random_matrix(rng, shape, complex_entries=True):
+    mat = rng.standard_normal(shape)
+    return mat + 1j * rng.standard_normal(shape) if complex_entries else mat
+
+
+@pytest.mark.parametrize("shape_a, shape_b, complex_a", [
+    ((2, 2), (2, 2), True), ((4, 4), (2, 2), True), ((2, 2), (8, 8), True),
+    ((2, 2), (4, 4), False), ((3, 2), (2, 5), True), ((1, 4), (3, 1), False)])
+def test_kron_matches_numpy_kron(shape_a, shape_b, complex_a):
+    rng = np.random.default_rng(17)
+    a = _random_matrix(rng, shape_a, complex_a)
+    b = _random_matrix(rng, shape_b)
+    got = core.kron(a, b)
+    want = np.kron(a, b)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+    # and a real right factor under a complex left one
+    assert np.array_equal(core.kron(b, a.real), np.kron(b, a.real))
+
+
 def test_disjoint_support_commutation():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -64,6 +64,15 @@ def test_log_h_values():
     assert ising.log_h(6) == pytest.approx(math.log(34560.0), rel=1e-15)
 
 
+def test_log_h_cache_matches_direct_sum():
+    ising.log_h.cache_clear()
+    for n in range(1, 401):
+        assert ising.log_h(n) == ising.log_h.__wrapped__(n)
+    assert ising.log_h.cache_info().currsize == 400
+    with pytest.raises(ValueError, match=">= 1"):
+        ising.log_h(0)
+
+
 def test_delta_exact_small_separations():
     d1 = ising.delta_log(1)
     assert d1.sign == -1

@@ -1,11 +1,16 @@
 """Two-qubit model: closed forms against direct 4x4 numerics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qetsim import core, minimal
+import qetsim
+from qetsim import core, minimal, verify
 from qetsim.core import LocalOperator, PovmMeasurement
 from qetsim.minimal import MinimalParams
 
@@ -41,6 +46,46 @@ def test_build_symmetric_point():
         -math.sqrt(1 + 1 / math.sqrt(2)) / math.sqrt(2),
     ])
     assert np.abs(model.ground.amplitudes - expected).max() < 1e-14
+
+
+def test_build_memoized_and_read_only():
+    minimal.build.cache_clear()
+    model = minimal.build(MinimalParams(1.5, 0.5))
+    assert minimal.build(MinimalParams(1.5, 0.5)) is model
+    assert minimal.build.cache_info().misses == 1
+    for arr in (model.h_a, model.h_b, model.v, model.hamiltonian,
+                model.ground.amplitudes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_suite_minimal_builds_each_model_once(monkeypatch):
+    # closed_form_ground runs once per uncached build
+    built = []
+    closed_form_ground = minimal.closed_form_ground
+
+    def spy(params):
+        built.append(params)
+        return closed_form_ground(params)
+
+    monkeypatch.setattr(minimal, "closed_form_ground", spy)
+    minimal.build.cache_clear()
+    verify.suite_minimal(0)
+    assert len(built) == len(set(built)) <= 46
+    assert minimal.build.cache_info().misses == len(built)
+    assert minimal.build.cache_info().hits > 300
+
+
+def test_import_leaves_model_caches_empty():
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qetsim; from qetsim import ising, minimal; "
+         "print(minimal.build.cache_info().currsize, "
+         "ising.log_h.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, "0 0\n"), proc.stderr
 
 
 def test_build_zero_expectations_random():
