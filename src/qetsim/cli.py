@@ -119,29 +119,10 @@ def _range_values(spec: tuple[float, float, int], log: bool,
     return np.linspace(start, stop, count)
 
 
-def _load_config_defaults(argv) -> list[tuple[str, str]]:
-    """The ``(key, value)`` pairs of the ``--config`` file, in file order."""
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-    if path is None:
-        return []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return [(key, value) for _, key, value
-                    in core.key_value_lines(handle, path) if key != "config"]
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
-
-
 @functools.cache
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and its subparsers by name, built on first use
-    and then shared by every :func:`main` call, which must never write into
-    them (``build_parser.__wrapped__()`` builds a fresh, private pair)."""
+    and then shared by every :func:`main` call, config files included."""
     parser = _Parser(prog="qetsim", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -477,37 +458,43 @@ _CONFIG_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                     **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _apply_config_defaults(subparser: argparse.ArgumentParser,
-                           defaults: list[tuple[str, str]]) -> None:
-    """Set config values as the subparser's defaults.  A key names an
-    option by its long flag or its ``dest``, without leading dashes and
-    with ``-`` and ``_`` alike: ``range``, ``range_spec`` and ``range-spec``
-    all name ``--range``."""
+def _config_arguments(subparser: argparse.ArgumentParser,
+                      path: str) -> list[str]:
+    """The config file at ``path`` as ``--flag=value`` arguments of
+    ``subparser``.  A key names an option by its long flag or its ``dest``,
+    without leading dashes and with ``-`` and ``_`` alike: ``range``,
+    ``range_spec`` and ``range-spec`` all name ``--range``.  A switch is
+    on (its bare flag) or off (nothing) by the yes/no table."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            pairs = [(key, value) for _, key, value
+                     in core.key_value_lines(handle, path) if key != "config"]
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}")
     actions = {}
     for action in subparser._actions:
-        names = [action.dest] + [flag.lstrip("-") for flag in action.option_strings
-                                 if flag.startswith("--")]
-        actions.update((name.replace("-", "_"), action) for name in names)
-    unknown = {key for key, _ in defaults if key.replace("-", "_") not in actions}
+        flags = [flag for flag in action.option_strings if flag.startswith("--")]
+        if flags and action.dest != "help":
+            names = [action.dest] + [flag[2:] for flag in flags]
+            actions.update((name.replace("-", "_"), action) for name in names)
+    unknown = {key for key, _ in pairs if key.replace("-", "_") not in actions}
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    typed, seen = {}, {}
-    for key, value in defaults:
+    arguments, seen = [], {}
+    for key, value in pairs:
         action = actions[key.replace("-", "_")]
+        flag = action.option_strings[-1]
         if action.dest in seen:
-            raise UsageError(f"config keys {seen[action.dest]!r} and {key!r} "
-                             f"both set {(action.option_strings or [key])[-1]}")
+            raise UsageError(
+                f"config keys {seen[action.dest]!r} and {key!r} both set {flag}")
         seen[action.dest] = key
-        try:
-            if action.type is not None:
-                typed[action.dest] = action.type(value)
-            elif isinstance(action.default, bool):
-                typed[action.dest] = _CONFIG_BOOLEANS[value.lower()]
-            else:
-                typed[action.dest] = value
-        except (ValueError, KeyError):
+        if action.nargs != 0:
+            arguments.append(f"{flag}={value}")
+        elif value.lower() not in _CONFIG_BOOLEANS:
             raise UsageError(f"config key {key!r}: bad value {value!r}")
-    subparser.set_defaults(**typed)
+        elif _CONFIG_BOOLEANS[value.lower()]:
+            arguments.append(flag)
+    return arguments
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:
@@ -517,9 +504,9 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 def main(argv=None) -> int:
     """Run one command line; return its exit code.
 
-    ``main`` can be called any number of times in one process.  The parser
-    is built once and reused; a ``--config`` file is applied to a private
-    parser built for that call alone, so its values never reach another.
+    ``main`` can be called any number of times in one process; every call
+    parses with the one cached parser.  A ``--config`` file's values are
+    parsed as arguments placed before the command line's own, which win.
     A warning that the caller's filters let through is written to stderr
     as the one line ``warning: <message>``; a caller that records warnings
     still gets the warning itself.
@@ -528,15 +515,15 @@ def main(argv=None) -> int:
     parser, subparsers = build_parser()
     saved_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        defaults = _load_config_defaults(argv)
-        if defaults:
-            if not argv or argv[0] not in subparsers:
-                raise UsageError("--config needs a leading subcommand")
-            # set_defaults writes into the subparser, and the common
-            # options' actions are shared by all six: never the cached pair
-            parser, subparsers = build_parser.__wrapped__()
-            _apply_config_defaults(subparsers[argv[0]], defaults)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            file_arguments = _config_arguments(subparsers[args.command],
+                                               args.config)
+            try:
+                args = parser.parse_args(
+                    [args.command, *file_arguments, *argv[1:]])
+            except UsageError as exc:  # argv parsed alone: the file is at fault
+                raise UsageError(f"{args.config}: {exc}")
         handler = COMMANDS[args.command]
         return handler(args)
     except (UsageError, ValueError, OSError) as exc:

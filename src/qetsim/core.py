@@ -143,15 +143,18 @@ class LocalOperator:
     def is_hermitian(self) -> bool:
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= ATOL_ALGEBRA)
 
+    # a product that overflows fails the <= test: numpy's warnings add nothing
     def is_unitary(self) -> bool:
         dim = self.matrix.shape[0]
-        return bool(np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max()
-                    <= ATOL_ALGEBRA)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.abs(self.matrix.conj().T @ self.matrix
+                               - np.eye(dim)).max() <= ATOL_ALGEBRA)
 
     def is_involution(self) -> bool:
         dim = self.matrix.shape[0]
-        return bool(np.abs(self.matrix @ self.matrix - np.eye(dim)).max()
-                    <= ATOL_ALGEBRA)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.abs(self.matrix @ self.matrix - np.eye(dim)).max()
+                        <= ATOL_ALGEBRA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -724,8 +727,11 @@ def parse_pauli_expression(text: str) -> np.ndarray:
             if not math.isfinite(coef):
                 raise ValueError(
                     f"non-finite coefficient {coef_text!r} in {text!r}")
-        mat += coef * PAULIS["1" if sym == "id" else sym]
+        with np.errstate(over="ignore"):
+            mat += coef * PAULIS["1" if sym == "id" else sym]
         seen = True
     if not seen:
         raise ValueError(f"no terms found in operator expression {text!r}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"operator expression {text!r} overflows")
     return mat

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qetsim
-from qetsim import chain, cli, field
+from qetsim import chain, cli, field, ising
 from qetsim.field import FieldProtocolSpec, Profile
 
 
@@ -180,6 +180,17 @@ def test_chain_identity_generator_exit_one(capsys, chain_file, g_b):
     _assert_one_line_failure(code, out, err)
     assert err == ("error: --g-b must be a traceless Hermitian involution, "
                    f"got {g_b!r}\n")
+
+
+@pytest.mark.parametrize("g_b, x", [
+    ("1e200*x", "-1*z"), ("1e308*x + 1e308*x", "-1*z"),
+    ("y", "-1*z + 1e308*x + 1e308*x")], ids=["square", "sum", "chain-file"])
+def test_overflowing_expression_exit_one(capsys, tmp_path, g_b, x):
+    model = tmp_path / "model.chain"
+    model.write_text(f"n_sites = 6\nboundary = open\nx = {x}\nbond = x ; -1.0\n")
+    code, out, err = run_cli(capsys, "chain", "--model", str(model),
+                             "--site-a", "0", "--site-b", "5", "--g-b", g_b)
+    _assert_one_line_failure(code, out, err)
 
 
 @pytest.mark.parametrize("command,scale", [
@@ -878,6 +889,96 @@ def test_refused_config_leaves_later_calls_alone(capsys, tmp_path):
     assert before[0] == 0 and "# fit = False" in before[1].splitlines()
 
 
+# (command line before the options, options as (key, value)); a switch's
+# value is "on" or "off", and {model}, {lam}, {p_b} and {out} are paths
+_CONFIG_ROUND_TRIPS = {
+    "minimal": (["minimal"], [("h", "2.5"), ("k", "0.5"), ("theta", "0.25"),
+                              ("seed", "7")]),
+    "minimal-out": (["minimal", "--h", "1"], [("k", "2"), ("out", "{out}")]),
+    "chain": (["chain"], [("model", "{model}"), ("site-a", "0"),
+                          ("site-b", "4"), ("direction", "z"), ("g-b", "x"),
+                          ("theta", "auto")]),
+    "ising-analytic": (["ising"], [("J", "2.0"), ("n", "1:4"), ("fit", "on"),
+                                   ("mode", "analytic")]),
+    "ising-numeric": (["ising"], [("mode", "numeric"), ("N", "6"),
+                                  ("fit", "off")]),
+    "field": (["field"], [("lambda-file", "{lam}"), ("p-file", "{p_b}"),
+                          ("T", "3.0"), ("refine", "1"), ("oracle", "on")]),
+    "verify": (["verify"], [("suite", "ising"), ("seed", "3")]),
+    "sweep": (["sweep", "minimal"], [("param", "k"), ("range", "0.5:2:3"),
+                                     ("log", "on"), ("h", "1.5")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_ROUND_TRIPS))
+def test_config_file_matches_command_line(capsys, tmp_path, chain_file,
+                                          profile_files, name):
+    lam, p_b = profile_files
+    out_path = tmp_path / "run.out"
+    paths = {"model": chain_file, "lam": lam, "p_b": p_b, "out": out_path}
+    head, options = _CONFIG_ROUND_TRIPS[name]
+    options = [(key, value.format(**paths)) for key, value in options]
+    flags = []
+    for key, value in options:
+        if value not in ("on", "off"):
+            flags += [f"--{key}", value]
+        elif value == "on":
+            flags.append(f"--{key}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in options))
+    runs = []
+    for argv in (head + flags, head + ["--config", str(cfg)]):
+        out_path.unlink(missing_ok=True)
+        result = run_cli(capsys, *argv)
+        runs.append((result, out_path.exists() and out_path.read_text()))
+    assert runs[0] == runs[1]
+    (code, out, _), written = runs[0]
+    assert code == 0 and (out or written)
+
+
+@pytest.mark.parametrize("command, key, choices", [
+    ("verify", "suite", "'all', 'core'"), ("ising", "mode", "'analytic'")],
+    ids=["suite", "mode"])
+def test_config_bad_choice_names_file(capsys, tmp_path, command, key, choices):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = bogus\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    _assert_one_line_failure(code, out, err)
+    assert err.startswith(f"error: {cfg}: argument --{key}: invalid choice: "
+                          f"'bogus' (choose from {choices}")
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qetsim.cli", command, "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--confi", "--config="])
+def test_config_flag_abbreviated(capsys, tmp_path, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 0\n")
+    config = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
+    code, out, _ = run_cli(capsys, "minimal", *config, "--h", "1", "--k", "1")
+    assert code == 0
+    assert load_json(out)["theta"] == 0.0
+    assert (code, out) == run_cli(capsys, "minimal", "--config", str(cfg),
+                                  "--h", "1", "--k", "1")[:2]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["minimal", "--h", "1", "--k", "1"], "help"),
+    (["sweep", "minimal", "--param", "h", "--range", "1:2:2"], "target")],
+    ids=["help", "target"])
+def test_config_help_and_positional_are_not_keys(capsys, tmp_path, argv, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = field\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    _assert_one_line_failure(code, out, err)
+    assert err == f"error: unknown config keys: {key}\n"
+
+
 def test_readme_chain_example_warns_in_one_line(capsys, tmp_path):
     # the chain model file and the command line of README.md
     model = tmp_path / "ising.chain"
@@ -945,6 +1046,14 @@ def test_verify_core_deterministic_and_green(capsys):
     assert code == 0
     assert out1 == out2
     assert "FAIL" not in out1
+
+
+def test_verify_log_check_calls_log_h(capsys, monkeypatch):
+    log_h = ising.log_h
+    monkeypatch.setattr(ising, "log_h", lambda n: log_h(n) * (1 + 1e-6))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ising")
+    assert code == 2
+    assert "FAIL ising.log-accumulation-stability (rel 1.00e-06)" in out.splitlines()
 
 
 @pytest.mark.parametrize("suite, name, fake, line", [
