@@ -49,7 +49,8 @@ if TYPE_CHECKING:
 
 
 # Largest chain the engine builds: with its 2**n-dimensional Hamiltonian and
-# vectors, one 18-site Ising run took about 3 s and a 191 MB peak on 2 cores.
+# vectors, `ising --mode numeric --N 18` took 2.1 to 3.6 s and a 185 MB peak
+# as a subprocess on 2 cores.
 SITE_LIMIT = 18
 
 
@@ -75,6 +76,9 @@ class ChainModel:
     shifts: tuple[float, ...]
 
     def __post_init__(self):
+        if self.n_sites > SITE_LIMIT:
+            raise ValueError(f"a chain of {self.n_sites} sites is above the "
+                             f"{SITE_LIMIT}-site limit")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be open or periodic, not {self.boundary!r}")
         if self.n_sites < 2:
@@ -315,7 +319,11 @@ def normalize(model: ChainModel) -> ChainModel:
 
     The returned model has ground eigenvalue zero and ``<g|T_n|g> = 0`` at
     every site within 1e-9 times the energy scale; its densities are the
-    input's minus ``eps_n`` times the identity on their supports.
+    input's minus ``eps_n`` times the identity on their supports.  Its
+    Hamiltonian is the input's with ``sum eps_n`` taken off the diagonal,
+    and its ground state is the input's: a dense Hamiltonian is one shifted
+    copy, a CSR one shares its index arrays when it can
+    (:func:`_shift_diagonal`).
     """
     gs = model.ground
     if gs.degenerate:
@@ -331,11 +339,11 @@ def normalize(model: ChainModel) -> ChainModel:
     drop = math.fsum(eps)
     ham = model.hamiltonian
     if isinstance(ham, np.ndarray):
+        ham = ham.copy()
         with np.errstate(over="ignore"):  # refused below, as on a CSR
-            ham = ham - drop * np.eye(ham.shape[0])
+            ham.flat[::ham.shape[0] + 1] -= drop
     else:
-        import scipy.sparse as sp
-        ham = ham - drop * sp.identity(ham.shape[0], format="csr")
+        ham = _shift_diagonal(ham, drop)
     if not np.isfinite(ham.diagonal()).all():
         raise ValueError(f"shifting the Hamiltonian by {-drop:.3g} is not finite")
     shifted.__dict__["hamiltonian"] = ham
@@ -350,6 +358,26 @@ def normalize(model: ChainModel) -> ChainModel:
                     val, 0.0, 1e-9, model.energy_scale)
     check_close("ground eigenvalue after normalization", shifted.ground.energy,
                 0.0, 1e-9, model.energy_scale)
+    return shifted
+
+
+def _shift_diagonal(ham: sp.csr_matrix, drop: float) -> sp.csr_matrix:
+    """``ham - drop * I`` for a CSR ``ham``.  When ``ham`` is canonical and
+    every diagonal entry is nonzero, so stored, a copy of ``data`` takes
+    the shift at those entries and shares ``indices`` and ``indptr`` with
+    ``ham`` (it keeps an entry the shift makes zero); ``setdiag`` then only
+    writes data, and no scipy call sorts or prunes the shared arrays.
+    Otherwise (a row whose diagonal entry is zero is not stored, as in an
+    Ising chain of even length) scipy's subtraction.  The test reads only
+    the diagonal, so it adds no temporary as long as ``data``."""
+    import scipy.sparse as sp
+    n, diagonal = ham.shape[0], ham.diagonal()
+    if not (ham.has_canonical_format and np.count_nonzero(diagonal) == n):
+        return ham - drop * sp.identity(n, format="csr")
+    shifted = sp.csr_matrix((ham.data.copy(), ham.indices, ham.indptr),
+                            shape=ham.shape)
+    with np.errstate(over="ignore"):  # refused by the caller
+        shifted.setdiag(diagonal - drop)
     return shifted
 
 

@@ -19,6 +19,7 @@ model's declared coupling and fail on any NaN or inf.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 import sys
@@ -233,15 +234,23 @@ class GroundState:
 DENSE_DIM_LIMIT = 256
 _LANCZOS_MAX_STEPS = 1000
 _LANCZOS_CHECK_EVERY = 6
+# inverse iteration: the shift below the lowest eigenvalue and the residual
+# it stops at, both relative to the spectral radius; the factor its solves
+# must have damped the excited levels by; its solve cap
+_INVERSE_SHIFT = 1e-15
+_INVERSE_TARGET = 1e-13
+_INVERSE_DAMPING = 1e-8
+_INVERSE_MAX_SOLVES = 4
 
 
 def ground_state(H, scale: float = 1.0) -> GroundState:
     """Lowest eigenvalue and eigenvector of a Hermitian operator.
 
     ``H`` is a dense ndarray or a CSR matrix; nothing else is accepted.  A
-    dense ``H``, and a CSR up to 256 dimensions (8 sites), gets the full
-    dense eigendecomposition, measured to be no slower than Krylov there;
-    a larger CSR gets a seeded Lanczos solver in plain numpy
+    dense ``H``, and a CSR up to 256 dimensions (8 sites), is solved dense
+    for its lowest pair only (:func:`_dense_lowest_pair`): the eigenvalues
+    without eigenvectors, then the vector by inverse iteration.  A larger
+    CSR gets a seeded Lanczos solver in plain numpy
     (:func:`_krylov_lowest_pair`), on the two half-length bit-parity blocks
     when every stored entry conserves parity: pass 1 in each block, a
     replay of the recorded coefficients for the vector, and a gap pass that
@@ -251,22 +260,21 @@ def ground_state(H, scale: float = 1.0) -> GroundState:
     on the mask diagonals by ``ChainModel.hamiltonian`` for a CSR), the
     eigenpair must satisfy ``|H v - E v| <= 1e-9 * scale`` on the full
     ``H``, and a gap not above ``1e-8 * scale`` (so any gap of a zero
-    operator) is reported as degenerate.  The residual is summed in units
-    of ``scale``, so it does not overflow for couplings as large as 1e300.
+    operator) is reported as degenerate.  Both solvers and the residual
+    work in units of ``scale``, so nothing overflows or underflows for
+    couplings from 1e-300 to 1e300.
     """
     dim = H.shape[0]
     sparse = not isinstance(H, np.ndarray)
     if not np.isfinite(H.data if sparse else H).all():
         raise ValueError("Hamiltonian has non-finite entries")
-    if not sparse and not abs(H - H.conj().T).max() <= ATOL_ALGEBRA * scale:
+    if not sparse and not _hermitian_defect(H) <= ATOL_ALGEBRA * scale:
         raise ValueError(
             f"Hamiltonian is not Hermitian within {ATOL_ALGEBRA * scale:.3g}")
     if sparse and dim > DENSE_DIM_LIMIT:
         energy, vec, gap = _krylov_lowest_pair(H, dim, scale)
     else:
-        vals, vecs = np.linalg.eigh(H.toarray() if sparse else H)
-        energy, vec = float(vals[0]), vecs[:, 0]
-        gap = float(vals[1] - vals[0]) if dim > 1 else math.inf
+        energy, vec, gap = _dense_lowest_pair(H.toarray() if sparse else H, scale)
     unit = scale if scale > 0 else 1.0
     residual = unit * np.linalg.norm((H @ vec - energy * vec) / unit)
     if not residual <= ATOL_RESIDUAL * scale:
@@ -275,6 +283,103 @@ def ground_state(H, scale: float = 1.0) -> GroundState:
     n = int(round(math.log2(dim)))
     return GroundState(energy, StateVector(n, vec / np.linalg.norm(vec)),
                        gap, not gap > GAP_DEGENERATE * scale)
+
+
+def _hermitian_defect(H: np.ndarray) -> float:
+    """``max |H - H^H|``, computed in one n x n buffer."""
+    buf = np.conjugate(H.T, order="C")
+    np.subtract(H, buf, out=buf)
+    return float(np.abs(buf, out=buf).real.max())
+
+
+def _dense_lowest_pair(H: np.ndarray, scale: float
+                       ) -> tuple[float, np.ndarray, float]:
+    """Lowest eigenvalue, its vector and the gap above it of a dense ``H``.
+
+    In units of ``scale``, ``A = H / scale`` (a zero ``scale`` counts as
+    1).  When no entry joins basis states of unequal bit parity, the even
+    and the odd block of ``A`` (:func:`_parity_halves`) are solved side by
+    side and the block with the lower lowest eigenvalue holds the vector
+    (the even one on a tie), as on the Krylov path; otherwise ``A`` is one
+    block.  The eigenvalues come from ``eigvalsh``, with no eigenvector
+    matrix, and the vector from inverse iteration (Ipsen, SIAM Rev. 39, 254
+    (1997)) in its block ``B``, solving ``(B - s*I) x = d*v`` from a start
+    vector fixed per dimension (:func:`_start_vector`).  The shift ``s``
+    lies ``d = 1e-15 * r`` below the lowest eigenvalue, ``r`` the spectral
+    radius of ``A`` (several units in the last place of every eigenvalue),
+    so ``B - s*I`` is not singular even when ``B`` is diagonal.  A solve
+    keeps the lowest level's part of its unit right side and shrinks every
+    other part, so its solution ``y`` satisfies ``|B y - lowest*y| <= d``,
+    and each solve damps the excited levels against the lowest by ``d /
+    (d + gap)`` or more.  The iteration stops once the residual bound
+    ``d / |y|`` of the normalized vector is at most ``1e-13 * r`` and the
+    solves have damped by 1e-8, or after four solves; the caller's residual
+    gate decides.  One solve meets the damping unless the gap is below
+    about 1e-7 * r, where a small residual still allows a large excited
+    part; a start vector with less than a hundredth of its weight on the
+    ground state takes a second solve for the residual.  Every vector is an
+    eigenvector of the zero operator: it gets the start vector.
+    """
+    dim = H.shape[0]
+    unit = scale if scale > 0 else 1.0
+    rows, cross = _parity_halves(dim)
+    if rows is not None and not H[cross].any():
+        blocks = H[rows[:, :, None], rows[:, None, :]] / unit
+    else:
+        rows, blocks = None, (H / unit)[None]
+    spectra = np.linalg.eigvalsh(blocks)
+    lows = spectra[:, 0].tolist()
+    pick = lows.index(min(lows))
+    lowest = lows.pop(pick)
+    above = lows + spectra[pick, 1:2].tolist()
+    gap = min(above) - lowest if above else math.inf
+    radius = max(-lowest, float(spectra[:, -1].max()))
+    block = blocks[pick]
+    size = block.shape[0]
+    vec = _start_vector(size)
+    if radius > 0:
+        delta = _INVERSE_SHIFT * radius
+        block.flat[::size + 1] -= lowest - delta
+        damped = 1.0
+        for _ in range(_INVERSE_MAX_SOLVES):
+            vec = np.linalg.solve(block, delta * vec)
+            norm = math.sqrt(np.vdot(vec, vec).real)
+            vec /= norm
+            damped *= delta / (delta + gap)
+            if (delta / norm <= _INVERSE_TARGET * radius
+                    and damped <= _INVERSE_DAMPING):
+                break
+    if rows is None:
+        return unit * lowest, vec, unit * gap
+    full = np.zeros(dim, dtype=vec.dtype)
+    full[rows[pick]] = vec
+    return unit * lowest, full, unit * gap
+
+
+@functools.lru_cache(maxsize=16)
+def _parity_halves(dim: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The even and the odd bit-parity basis states of ``dim`` dimensions,
+    as the two rows of an array (each pair ``2i, 2i + 1`` has one of each),
+    and the mask of the matrix entries that join unequal parities; both
+    read-only, and both ``None`` for an odd ``dim``."""
+    if dim % 2:
+        return None, None
+    odd = np.bitwise_count(np.arange(dim)) & 1
+    rows = np.argsort(odd, kind="stable").reshape(2, dim // 2)
+    cross = odd[:, None] != odd
+    rows.setflags(write=False)
+    cross.setflags(write=False)
+    return rows, cross
+
+
+@functools.lru_cache(maxsize=16)
+def _start_vector(dim: int) -> np.ndarray:
+    """The unit start vector of inverse iteration in ``dim`` dimensions:
+    Gaussian, from a generator seeded by ``dim``, so a solve repeats bit for
+    bit; made once per dimension and read-only."""
+    vec = _unit(np.random.default_rng(dim).standard_normal(dim))
+    vec.setflags(write=False)
+    return vec
 
 
 def _krylov_lowest_pair(H, dim: int, scale: float
@@ -459,12 +564,13 @@ def _ritz_vector(apply, v: np.ndarray, ritz, alphas, betas) -> np.ndarray:
 
 
 def expectation(state: StateVector, op: np.ndarray):
-    """``<psi|O|psi>``; tiny imaginary parts are truncated."""
+    """``<psi|O|psi>``, a float when its imaginary part is at most 1e-10
+    times the largest entry of ``O`` (as for any Hermitian ``O``)."""
     op = np.asarray(op)
     if op.shape[0] != state.amplitudes.size:
         raise ValueError("operator dimension does not match the state")
     val = np.vdot(state.amplitudes, op @ state.amplitudes)
-    if abs(val.imag) < ATOL_ALGEBRA:
+    if abs(val.imag) <= ATOL_ALGEBRA * np.abs(op).max():
         return float(val.real)
     return complex(val)
 

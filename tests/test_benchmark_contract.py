@@ -1,10 +1,13 @@
 """The benchmark's output checks, run once per workload as a tier-1 test.
 
 ``perfbench/jobs.py`` is loaded by path, as ``perfbench/run.py`` loads it,
-and each workload runs one pass of its jobs at one fixed seed.  Every job's
-output goes through the same check the benchmark applies to its warm-up
-pass, against ``perfbench/reference.json``, so a change that would make the
-benchmark report wrong outputs fails here first.
+and each workload runs two passes of its jobs at one fixed seed, as
+``perfbench/run.py`` runs a warm-up pass and then timed ones.  Every job's
+output of the first pass goes through the check the benchmark applies to
+its warm-up pass, against ``perfbench/reference.json``; the second pass is
+checked as a timed pass is, against the first.  So a change that would make
+the benchmark report wrong outputs, or outputs that differ between passes,
+fails here first.
 """
 
 import importlib.util
@@ -36,9 +39,14 @@ jobs = _load_jobs()
 def test_workload_pass_matches_reference(workload, tmp_path):
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     bench = jobs.WORKLOADS[workload](tmp_path, SEED, reference)
-    state = {}
+    joblist = bench.jobs()
+    first = {}
     with warnings.catch_warnings():
         # the benchmark runs with every warning ignored
         warnings.simplefilter("ignore")
-        for job in bench.jobs():
-            job.check(job.run(state), None)
+        for _ in range(2):
+            state = {}
+            outputs = {job.name: job.run(state) for job in joblist}
+            for job in joblist:
+                job.check(outputs[job.name], first.get(job.name))
+            first = first or outputs

@@ -292,6 +292,71 @@ def test_normalize_refuses_overflowing_shift(n_sites):
         chain.normalize(big)
 
 
+def _ising_chain(n, field=-1.0):
+    return ChainModel(n, "periodic", tuple(field * core.PAULI_Z for _ in range(n)),
+                      (Channel(tuple(core.PAULI_X for _ in range(n)),
+                               (-1.0,) * n),),
+                      (0.0,) * n)
+
+
+NORMALIZE_ROUTES = {
+    # every row stores its diagonal entry: shifted in a copy of the data
+    "ising9": (lambda: _ising_chain(9), True),
+    "complex10": (lambda: _random_hermitian_chain(10, "open", 2, 0.0, 3), True),
+    # rows with equal numbers of up and down spins have a zero diagonal,
+    # which the CSR does not store
+    "ising10": (lambda: _ising_chain(10), False),
+    # no diagonal entry at all
+    "xfield10": (lambda: ChainModel(
+        10, "periodic", tuple(core.PAULI_X for _ in range(10)),
+        (Channel(tuple(core.PAULI_X for _ in range(10)), (-1.0,) * 10),),
+        (0.0,) * 10), False),
+}
+
+
+@pytest.mark.parametrize("case", NORMALIZE_ROUTES)
+def test_normalize_shift_matches_subtracting_identity(case):
+    build, shared = NORMALIZE_ROUTES[case]
+    model = build()
+    ham = model.hamiltonian
+    assert sp.issparse(ham)
+    shifted = chain.normalize(model)
+    # with unshifted input, the new shifts are the densities the drop sums
+    assert not any(model.shifts)
+    drop = math.fsum(shifted.shifts)
+    want = ham - drop * sp.identity(ham.shape[0], format="csr")
+    got = shifted.hamiltonian
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.shares_memory(got.indices, ham.indices) == shared
+    assert np.shares_memory(got.indptr, ham.indptr) == shared
+    assert not np.shares_memory(got.data, ham.data)
+    assert got.has_canonical_format
+
+
+def test_normalize_dense_shift_matches_subtracting_identity():
+    model = _random_hermitian_chain(8, "periodic", 2, 0.0, 11)
+    ham = model.hamiltonian
+    shifted = chain.normalize(model)
+    assert not any(model.shifts)
+    drop = math.fsum(shifted.shifts)
+    want = ham - drop * np.eye(ham.shape[0])
+    assert shifted.hamiltonian.dtype == want.dtype
+    assert np.array_equal(shifted.hamiltonian, want)
+    assert not np.shares_memory(shifted.hamiltonian, ham)
+
+
+def test_chain_model_refuses_more_sites_than_the_limit():
+    n = chain.SITE_LIMIT + 1
+    with pytest.raises(ValueError, match=f"above the {chain.SITE_LIMIT}-site limit"):
+        ChainModel(n, "open", tuple(-core.PAULI_Z for _ in range(n)), (),
+                   (0.0,) * n)
+    with pytest.raises(ValueError, match="18-site limit"):
+        ising.build(ising.IsingParams(1.0, 25))
+
+
 def test_nonnegative_after_normalize(random_chains10):
     for model in random_chains10:
         assert model.ground.energy > -1e-9

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qetsim import core
+from qetsim import core, ising, minimal
 from qetsim.core import (
     LocalOperator,
     PovmMeasurement,
@@ -162,6 +162,88 @@ def test_ground_state_krylov_matches_dense():
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
+def _random_hermitian(rng, dim, real=False):
+    h = rng.standard_normal((dim, dim))
+    if not real:
+        h = h + 1j * rng.standard_normal((dim, dim))
+    return h + h.conj().T
+
+
+DENSE_CASES = {
+    "complex256": lambda rng: (_random_hermitian(rng, 256), 1.0),
+    "real256": lambda rng: (_random_hermitian(rng, 256, real=True), 1.0),
+    "complex64": lambda rng: (_random_hermitian(rng, 64), 1.0),
+    "complex4": lambda rng: (_random_hermitian(rng, 4), 1.0),
+    # the ground level first in index order, and last
+    "diagonal": lambda rng: (np.diag(np.arange(16.0) - 5.0), 1.0),
+    "diagonal_last": lambda rng: (np.diag(-np.arange(16.0)), 15.0),
+    "degenerate": lambda rng: (
+        core.kron(_random_hermitian(rng, 32), np.eye(2)), 1.0),
+    "zero_scale0": lambda rng: (np.zeros((8, 8)), 0.0),
+    "zero_scale1": lambda rng: (np.zeros((8, 8), dtype=complex), 1.0),
+    # parity conserving: solved as two blocks
+    "ising8": lambda rng: (
+        ising.build(ising.IsingParams(1.0, 8)).hamiltonian, 1.0),
+    "scaled1e-300": lambda rng: (1e-300 * _random_hermitian(rng, 16), 1e-300),
+    "scaled1e300": lambda rng: (1e300 * _random_hermitian(rng, 16), 1e300),
+}
+
+
+@pytest.mark.parametrize("case", DENSE_CASES)
+def test_dense_ground_state_matches_eigh(case):
+    h, scale = DENSE_CASES[case](np.random.default_rng(41))
+    gs = core.ground_state(h, scale)
+    vals, vecs = np.linalg.eigh(h / (scale or 1.0))
+    vals = vals * (scale or 1.0)
+    assert abs(gs.energy - vals[0]) <= 1e-12 * scale
+    assert abs(gs.gap - (vals[1] - vals[0])) <= 1e-10 * scale
+    assert gs.degenerate == (case in ("degenerate", "zero_scale0",
+                                      "zero_scale1"))
+    ground = vecs[:, vals - vals[0] <= 1e-8 * scale]
+    weight = np.linalg.norm(ground.conj().T @ gs.state.amplitudes) ** 2
+    assert weight >= 1 - 1e-12
+    again = core.ground_state(h, scale)
+    assert np.array_equal(again.state.amplitudes, gs.state.amplitudes)
+    assert again.energy == gs.energy and again.gap == gs.gap
+
+
+def test_dense_lowest_pair_one_dimension():
+    # one dimension is no qubit state, so only the solver itself is checked
+    for entry, scale in ((3.0, 1.0), (-2.0 + 0j, 2.0), (0.0, 0.0)):
+        energy, vec, gap = core._dense_lowest_pair(np.array([[entry]]), scale)
+        assert energy == entry.real and gap == math.inf
+        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_dense_ground_state_takes_even_block_on_a_tie():
+    # h/k = 1e-300: both parity blocks of the two-qubit Hamiltonian are the
+    # same matrix in double precision, and the closed form is the even one
+    model = minimal.build(minimal.MinimalParams(1e-300, 1.0))
+    gs = core.ground_state(np.asarray(model.hamiltonian), 1.0)
+    assert gs.degenerate
+    assert abs(np.vdot(gs.state.amplitudes, model.ground.amplitudes)) \
+        == pytest.approx(1.0, abs=1e-15)
+
+
+def test_dense_branch_computes_no_eigenvector_matrix(monkeypatch):
+    import scipy.sparse as sp
+
+    cases = [DENSE_CASES[name](np.random.default_rng(5))
+             for name in ("complex256", "real256", "complex4", "ising8")]
+    cases.append((sp.csr_matrix(cases[0][0]), 1.0))
+    eigh = np.linalg.eigh
+
+    def guarded(a, *args, **kwargs):
+        assert np.shape(a)[-1] < 4, f"eigh on a {np.shape(a)} matrix"
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", guarded)
+    for h, scale in cases:
+        lowest = np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[0]
+        assert core.ground_state(h, scale).energy == pytest.approx(
+            lowest, abs=1e-12 * scale)
+
+
 def _krylov_against_dense(h, scale=1.0):
     assert h.shape[0] > core.DENSE_DIM_LIMIT  # so the Lanczos solver runs
     gs = core.ground_state(h, scale)
@@ -259,6 +341,24 @@ def test_lanczos_step_cap_raises_one_line(monkeypatch):
 def test_expectation_trivial_cases():
     plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     assert core.expectation(plus, core.PAULI_X) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_expectation_of_hermitian_operator_is_real_at_any_scale():
+    # the imaginary rounding of <psi|O|psi> grows with the entries of O
+    for h in 10.0 ** np.arange(0, 151, 15):
+        for k in (h, 1.857 * h, 0.3 * h):
+            params = minimal.MinimalParams(float(h), float(k))
+            t = 0.3 / params.k
+            hb, v = minimal.evolved_local_energies(params, t)
+            assert type(hb) is float and type(v) is float
+            assert hb == pytest.approx(minimal.hb_evolution(params, t),
+                                       rel=1e-9)
+
+
+def test_expectation_keeps_imaginary_part_of_non_hermitian_operator():
+    plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
+    val = core.expectation(plus, 1e9j * core.PAULI_X)
+    assert type(val) is complex and val == pytest.approx(1e9j, rel=1e-15)
 
 
 def test_expectation_dimension_mismatch():
