@@ -32,6 +32,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _json_dump(obj) -> str:
     def convert(val):
         if isinstance(val, (np.floating, np.integer)):
@@ -129,7 +141,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file supplying defaults")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--out", help="write output to this path")
 
     p_min = sub.add_parser("minimal", parents=[common],

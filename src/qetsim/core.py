@@ -56,6 +56,16 @@ def check_close(name: str, got, want, tol: float, scale: float = 1.0) -> None:
             f"{name} {got} differs from {want} by more than {tol * scale:.3g}")
 
 
+def check_close_each(name: str, got, want, tol: float, scale: float = 1.0) -> None:
+    """:func:`check_close` on every element of ``got`` against ``want``
+    (broadcast), as one array test; the first element that fails raises
+    :func:`check_close`'s message with its index after ``name``."""
+    got, want = np.broadcast_arrays(got, want)
+    ok = np.isfinite(got) & np.isfinite(want) & (np.abs(got - want) <= tol * scale)
+    for i in np.flatnonzero(~ok):
+        check_close(f"{name} [{i}]", got.flat[i], want.flat[i], tol, scale)
+
+
 def check_at_most(name: str, got, bound, tol: float, scale: float = 1.0) -> None:
     """Require ``got <= bound + tol * scale`` with both sides finite."""
     if not (math.isfinite(got) and math.isfinite(bound)
@@ -145,12 +155,6 @@ class LocalOperator:
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= ATOL_ALGEBRA)
 
     # a product that overflows fails the <= test: numpy's warnings add nothing
-    def is_unitary(self) -> bool:
-        dim = self.matrix.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.abs(self.matrix.conj().T @ self.matrix
-                               - np.eye(dim)).max() <= ATOL_ALGEBRA)
-
     def is_involution(self) -> bool:
         dim = self.matrix.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -575,6 +579,18 @@ def expectation(state: StateVector, op: np.ndarray):
     return complex(val)
 
 
+def expectations(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """``<psi|O|psi>`` for each vector ``psi`` along the last axis of
+    ``vectors`` (shape (..., dim), giving shape (...)): real when every
+    imaginary part is at most 1e-10 times the largest entry of ``O``, as in
+    :func:`expectation`, else complex."""
+    op = np.asarray(op)
+    vals = (vectors.conj() * (vectors @ op.T)).sum(axis=-1)
+    if (np.abs(vals.imag) <= ATOL_ALGEBRA * np.abs(op).max()).all():
+        return vals.real
+    return vals
+
+
 def reduced_density(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
     """Partial trace of a pure state down to the ``keep`` sites, in that
     order: a Hermitian ``2**len(keep)`` matrix."""
@@ -771,12 +787,33 @@ def lowest_channel_energy(gram: np.ndarray, scale: float) -> tuple[float, float]
     return upper, float(lower)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+def complex_gaussian(dim: int, rng: np.random.Generator,
+                     count: int | None = None) -> np.ndarray:
+    """A ``dim`` x ``dim`` matrix of independent standard complex normals,
+    or with ``count`` a (count, dim, dim) stack of them: the matrices
+    ``count`` single calls would return, from the same normals drawn in the
+    same order (each matrix's real part, then its imaginary part)."""
+    normals = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    z = normals[:, 0] + 1j * normals[:, 1]
+    return z[0] if count is None else z
+
+
+def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """The Haar-random unitary Q diag(R_jj / |R_jj|) of the QR decomposition
+    z = QR of a complex Gaussian matrix (Mezzadri, Notices AMS 54, 592
+    (2007)), for one matrix or for each of a (k, dim, dim) stack; a stack
+    gives, bit for bit, the unitaries of its matrices one at a time."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator,
+                 count: int | None = None) -> np.ndarray:
+    """Haar-random ``dim`` x ``dim`` unitary, or with ``count`` a
+    (count, dim, dim) stack: bit for bit the unitaries of ``count`` single
+    calls, from the same normals in the same order."""
+    return haar_from_gaussian(complex_gaussian(dim, rng, count))
 
 
 def random_state(n_sites: int, rng: np.random.Generator) -> StateVector:

@@ -202,28 +202,53 @@ def run_protocol(params: MinimalParams, theta: float) -> ProtocolResult:
     return ProtocolResult(e_a, e_b, theta, tuple(records), total_after)
 
 
-def local_cooling_deficit(params: MinimalParams, w_b: LocalOperator) -> float:
+def _unitary_stack(name: str, unitaries) -> np.ndarray:
+    """``unitaries`` as a (k, 2, 2) array, each tested for unitarity
+    within 1e-10; a product that overflows fails the test."""
+    stack = np.asarray(unitaries)
+    if stack.ndim != 3 or stack.shape[1:] != (2, 2):
+        raise ValueError(f"{name} must be a (k, 2, 2) stack of one-qubit "
+                         f"unitaries, got shape {stack.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(2))
+    bad = np.flatnonzero(~(dev.max(axis=(1, 2)) <= core.ATOL_ALGEBRA))
+    if bad.size:
+        raise ValueError(f"{name} [{bad[0]}] is not unitary within 1e-10")
+    return stack
+
+
+def local_cooling_deficit(params: MinimalParams, w_b):
     """Energy change from an outcome-independent unitary on B (never positive).
 
-    Returns E_A - Tr[omega H] where omega is the post-measurement average
-    state transformed by ``w_b``.  The direct 4x4 evaluation is cross-checked
-    against the equivalent ground-state expectation before returning.
+    ``w_b`` is a :class:`LocalOperator` on site 1, giving a float, or a
+    (k, 2, 2) stack of unitaries on B, giving a (k,) array of deficits; a
+    single operator is evaluated as a stack of one.  Each deficit is
+    E_A - Tr[omega H], where omega is the post-measurement average state
+    transformed by the unitary W.  Every unitary is tested for unitarity,
+    and every deficit is cross-checked against the equivalent ground-state
+    expectation -<g|W^dag (H_B + V) W|g> within 1e-12 max(h, k), before
+    returning.
     """
-    if w_b.support != (1,):
+    single = isinstance(w_b, LocalOperator)
+    if single and w_b.support != (1,):
         raise ValueError("the cooling unitary must act on qubit B (site 1)")
-    if not w_b.is_unitary():
-        raise ValueError("W_B is not unitary within 1e-10")
+    stack = _unitary_stack("W_B", w_b.matrix[None] if single else w_b)
     model = build(params)
     g = model.ground.amplitudes
-    w_full = core.kron(np.eye(2), w_b.matrix)
-    omega = np.zeros((4, 4), dtype=complex)
-    for alpha in (1.0, -1.0):
-        branch = w_full @ (_projector(alpha) @ g)
-        omega += np.outer(branch, branch.conj())
-    deficit = input_energy(params) - float(np.trace(omega @ model.hamiltonian).real)
-    direct = -np.vdot(g, w_full.conj().T @ (model.h_b + model.v) @ (w_full @ g)).real
-    check_close("cooling deficit", deficit, direct, 1e-12, params.coupling_scale)
-    return deficit
+    # a two-qubit vector as the 2x2 array [bit of A, bit of B]: a unitary W
+    # on B multiplies it from the right by W^T
+    w_t = stack.transpose(0, 2, 1)
+    measured = np.stack([_projector(a) @ g for a in (1.0, -1.0)]).reshape(2, 2, 2)
+    # row alpha of ``branches[i]``: W_i P_alpha |g>, alpha = +1, -1
+    branches = (measured @ w_t[:, None]).reshape(-1, 2, 4)
+    # Tr[omega H] with omega the sum of the branches' projectors
+    total = core.expectations(branches, model.hamiltonian).real.sum(axis=1)
+    deficits = input_energy(params) - total
+    direct = -core.expectations((g.reshape(2, 2) @ w_t).reshape(-1, 4),
+                                model.h_b + model.v).real
+    core.check_close_each("cooling deficit", deficits, direct, 1e-12,
+                          params.coupling_scale)
+    return deficits.item() if single else deficits
 
 
 def hb_evolution(params: MinimalParams, t: float) -> float:
@@ -232,23 +257,55 @@ def hb_evolution(params: MinimalParams, t: float) -> float:
     return params.h * (params.h / r) / 2 * (1 - math.cos(4 * params.k * t))
 
 
-def evolved_local_energies(params: MinimalParams, t: float) -> tuple[float, float]:
-    """(<H_B(t)>, <V(t)>) by spectral evolution of the measured branches."""
+def evolved_local_energies(params: MinimalParams, t):
+    """(<H_B(t)>, <V(t)>) by spectral evolution of the measured branches.
+
+    ``t`` is a float, giving two floats, or an array of times, giving two
+    arrays of its shape; a float is evaluated as an array of one time.  The
+    Hamiltonian is diagonalized once per call, and every evolved branch is
+    checked to keep its norm within 1e-10.
+    """
+    times = np.asarray(t, dtype=float)
     model = build(params)
     vals, vecs = np.linalg.eigh(model.hamiltonian)
-    phases = np.exp(-1j * vals * t)
-    hb = 0.0
-    vv = 0.0
+    # row j of ``phases @ diag(c) @ vecs.T`` is exp(-i H t_j) applied to
+    # the branch with eigenbasis coefficients c
+    phases = np.exp(-1j * np.multiply.outer(times.ravel(), vals))
+    hb = vv = 0.0
     for alpha in (1.0, -1.0):
         branch = _projector(alpha) @ model.ground.amplitudes
         p = float(np.vdot(branch, branch).real)
-        out = vecs @ (phases * (vecs.conj().T @ (branch / math.sqrt(p))))
-        norm = np.linalg.norm(out)
-        check_close("norm after evolution", norm, 1.0, core.ATOL_ALGEBRA)
-        state = StateVector(2, out / norm)
-        hb += p * core.expectation(state, model.h_b)
-        vv += p * core.expectation(state, model.v)
-    return hb, vv
+        out = (phases * (vecs.conj().T @ (branch / math.sqrt(p)))) @ vecs.T
+        norm = np.linalg.norm(out, axis=1)
+        core.check_close_each("norm after evolution", norm, 1.0, core.ATOL_ALGEBRA)
+        states = out / norm[:, None]
+        hb = hb + p * core.expectations(states, model.h_b)
+        vv = vv + p * core.expectations(states, model.v)
+    hb, vv = hb.reshape(times.shape), vv.reshape(times.shape)
+    return (hb.item(), vv.item()) if times.ndim == 0 else (hb, vv)
+
+
+def local_unitary_energies(params: MinimalParams, sites, unitaries) -> np.ndarray:
+    """Ground-state energies after one local unitary each: the (k,) array
+    of <g|U_i^dag H U_i|g> for the (k, 2, 2) stack ``unitaries`` acting on
+    the qubits ``sites`` (k entries, 0 for A and 1 for B).
+
+    The ground state is passive (Pusz and Woronowicz, Commun. Math. Phys.
+    58, 273 (1978)): no entry is below the ground energy 0.
+    """
+    stack = _unitary_stack("U", unitaries)
+    sites = np.asarray(sites)
+    if (sites.shape != stack.shape[:1] or sites.dtype.kind not in "iu"
+            or sites.min() < 0 or sites.max() > 1):
+        raise ValueError(f"sites must hold one 0 (A) or 1 (B) per unitary, "
+                         f"got {sites!r}")
+    model = build(params)
+    # the ground state as the 2x2 array [bit of A, bit of B]: U on A
+    # multiplies it from the left, U on B from the right by U^T
+    ground = model.ground.amplitudes.reshape(2, 2)
+    on_site = np.stack([stack @ ground, ground @ stack.transpose(0, 2, 1)])
+    moved = on_site[sites, np.arange(len(sites))]
+    return core.expectations(moved.reshape(-1, 4), model.hamiltonian).real
 
 
 def _min_rotation_family(branch: np.ndarray, op: np.ndarray) -> float:

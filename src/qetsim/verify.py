@@ -2,8 +2,12 @@
 
 Each check returns a pass flag plus a short deterministic detail string
 (no timings, no addresses), so repeated runs with the same seed produce
-byte-identical reports.  Running worsts use numpy's max and min, which keep
-a NaN that the builtins would skip after a number, so a NaN fails its check.
+byte-identical reports.  Worsts use numpy's max and min, over a running
+pair or over a whole stack of samples; both keep a NaN that the builtins
+would skip after a number, so a NaN anywhere fails its check.  The sampled
+minimal checks (no local extraction, time evolution, passivity) draw their
+samples in the order one-at-a-time draws would take them, then evaluate
+them as one stack.
 """
 
 from __future__ import annotations
@@ -106,10 +110,8 @@ def suite_minimal(seed: int) -> list[CheckResult]:
     _check(out, "minimal", "energy-order", order_ok, "20 parameter draws")
 
     params = minimal.MinimalParams(1.0, 1.0)
-    worst = -math.inf
-    for _ in range(200):
-        w = LocalOperator((1,), core.haar_unitary(2, rng))
-        worst = np.max([worst, minimal.local_cooling_deficit(params, w)])
+    deficits = minimal.local_cooling_deficit(params, core.haar_unitary(2, rng, 200))
+    worst = np.max(deficits)
     _check(out, "minimal", "no-local-extraction", worst <= 1e-12,
            f"max deficit {worst:.3e}")
 
@@ -117,19 +119,20 @@ def suite_minimal(seed: int) -> list[CheckResult]:
     for _ in range(5):
         h, k = rng.uniform(0.1, 3.0, size=2)
         p = minimal.MinimalParams(float(h), float(k))
-        for t in np.linspace(0.0, math.pi / p.k, 20):
-            hb, v = minimal.evolved_local_energies(p, float(t))
-            worst = np.max([worst, abs(hb - minimal.hb_evolution(p, float(t))), abs(v)])
+        times = np.linspace(0.0, math.pi / p.k, 20)
+        hb, v = minimal.evolved_local_energies(p, times)
+        closed = [minimal.hb_evolution(p, float(t)) for t in times]
+        worst = np.max([worst, np.max(np.abs(hb - closed)), np.max(np.abs(v))])
     _check(out, "minimal", "time-evolution", worst < 1e-9, f"max dev {worst:.3e}")
 
-    model = minimal.build(params)
-    worst = math.inf
-    for _ in range(200):
-        site = int(rng.integers(0, 2))
-        u = core.haar_unitary(2, rng)
-        full = core.kron(u, np.eye(2)) if site == 0 else core.kron(np.eye(2), u)
-        vec = full @ model.ground.amplitudes
-        worst = np.min([worst, float(np.vdot(vec, model.hamiltonian @ vec).real)])
+    sites = np.empty(200, dtype=int)
+    gaussians = np.empty((200, 2, 2), dtype=complex)
+    for i in range(200):  # each sample draws its site, then its unitary
+        sites[i] = rng.integers(0, 2)
+        gaussians[i] = core.complex_gaussian(2, rng)
+    energies = minimal.local_unitary_energies(params, sites,
+                                              core.haar_from_gaussian(gaussians))
+    worst = np.min(energies)
     _check(out, "minimal", "passivity", worst >= -1e-12, f"min energy {worst:.3e}")
 
     bound = minimal.entanglement_bound(params, minimal.sigma_x_measurement())

@@ -1068,3 +1068,70 @@ def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake, line):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 2
     assert line in out.splitlines()
+
+
+def _with_entry(stack, value, i=17):
+    stack = stack.copy()
+    stack[i] = value
+    return stack
+
+
+@pytest.mark.parametrize("name, edit, line", [
+    ("local_cooling_deficit", lambda d: _with_entry(d, math.nan),
+     "FAIL minimal.no-local-extraction (max deficit nan)"),
+    ("local_cooling_deficit", lambda d: _with_entry(d, 1e-9),
+     "FAIL minimal.no-local-extraction (max deficit 1.000e-09)"),
+    ("evolved_local_energies",
+     lambda hb_v: (_with_entry(hb_v[0], hb_v[0][7] + 1e-8, 7), hb_v[1]),
+     "FAIL minimal.time-evolution (max dev 1.000e-08)"),
+    ("local_unitary_energies", lambda e: _with_entry(e, -1e-9),
+     "FAIL minimal.passivity (min energy -1.000e-09)"),
+], ids=["nan-deficit", "positive-deficit", "hb-off", "negative-energy"])
+def test_verify_fails_on_one_planted_sample(capsys, monkeypatch, name, edit,
+                                            line):
+    # each sampled check evaluates its draws as one stack: one bad entry in
+    # the first stack it evaluates must fail the check
+    function = getattr(qetsim.minimal, name)
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        result = function(*args)
+        return edit(result) if len(calls) == 1 else result
+
+    monkeypatch.setattr(qetsim.minimal, name, planted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "minimal")
+    assert code == 2
+    assert line in out.splitlines()
+    assert sum(l.startswith("FAIL ") for l in out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_all_green_across_seeds(capsys, seed):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", str(seed))
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert code == 0
+    assert len(lines) == 30
+    assert all(l.startswith("ok ") for l in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "minimal"],
+    ["minimal", "--h", "1", "--k", "1"],
+    ["ising", "--n", "1:3"],
+    ["sweep", "minimal", "--param", "k", "--range", "0.5:1:2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_negative_seed_refused(capsys, argv, seed):
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    _assert_one_line_failure(code, out, err)
+    assert err == f"error: argument --seed: must be a non-negative integer, got {seed}\n"
+
+
+def test_negative_seed_in_config_refused(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    code, out, err = run_cli(capsys, "minimal", "--config", str(cfg),
+                             "--h", "1", "--k", "1")
+    _assert_one_line_failure(code, out, err)
+    assert "--seed" in err and str(cfg) in err

@@ -7,6 +7,7 @@ import pytest
 
 from qetsim import core, ising, minimal
 from qetsim.core import (
+    InvariantViolation,
     LocalOperator,
     PovmMeasurement,
     StateVector,
@@ -505,6 +506,61 @@ def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(43)
     u = core.haar_unitary(4, rng)
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+
+
+def _reference_haar_unitary(dim, rng):
+    # one matrix at a time, as the single draw was first written
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_haar_unitary_stack_equals_single_draws(dim):
+    want_rng, single_rng, stack_rng = (np.random.default_rng(47) for _ in range(3))
+    want = np.array([_reference_haar_unitary(dim, want_rng) for _ in range(200)])
+    single = np.array([core.haar_unitary(dim, single_rng) for _ in range(200)])
+    stack = core.haar_unitary(dim, stack_rng, 200)
+    assert stack.shape == (200, dim, dim)
+    assert single.tobytes() == want.tobytes()
+    assert stack.tobytes() == want.tobytes()
+    # the three generators stand at the same place afterwards
+    assert want_rng.random() == single_rng.random() == stack_rng.random()
+
+
+def test_interleaved_gaussian_draws_give_the_single_haar_draws():
+    # a site drawn before each unitary, as in verify's passivity check
+    want_rng, rng = np.random.default_rng(59), np.random.default_rng(59)
+    want_sites, want = zip(*[(want_rng.integers(0, 2),
+                              _reference_haar_unitary(2, want_rng))
+                             for _ in range(50)])
+    sites, gaussians = zip(*[(rng.integers(0, 2), core.complex_gaussian(2, rng))
+                             for _ in range(50)])
+    assert sites == want_sites
+    got = core.haar_from_gaussian(np.array(gaussians))
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_check_close_each_names_the_first_failing_element():
+    core.check_close_each("x", np.array([1.0, 2.0]), np.array([1.0, 2.0 + 1e-13]),
+                          1e-12)
+    for bad in (np.nan, np.inf, 1.0 + 1e-11):
+        got = np.array([1.0, 1.0, bad, np.nan])
+        with pytest.raises(InvariantViolation, match=r"^x \[2\] "):
+            core.check_close_each("x", got, 1.0, 1e-12)
+
+
+def test_expectations_match_single_expectations():
+    rng = np.random.default_rng(53)
+    vectors = _random_matrix(rng, (6, 4))
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    herm = _random_matrix(rng, (4, 4))
+    for op in (herm + herm.conj().T, 1j * core.kron(core.PAULI_X, core.PAULI_Z)):
+        got = core.expectations(vectors, op)
+        want = [core.expectation(StateVector(2, v), op) for v in vectors]
+        assert got.dtype == np.array(want).dtype
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(op).max()
 
 
 def test_parse_pauli_expression():
