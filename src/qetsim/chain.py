@@ -451,7 +451,6 @@ class ChainProtocolResult:
     theta: float
     outcomes: tuple[Outcome, ...]
     site_energies: tuple[float, ...]
-    local_energy_b: float
 
 
 def _check_separation(model: ChainModel, site_a: int, site_b: int) -> None:
@@ -579,7 +578,7 @@ def run_protocol(model: ChainModel, spec: ChainProtocolSpec) -> ChainProtocolRes
         for label, col, p in zip(spec.measurement.labels, block.T, probs)
         if p > core.PROB_FLOOR)
     return ChainProtocolResult(e_a, e_b, spec.theta, records,
-                               tuple(float(v) for v in profile), -e_b)
+                               tuple(float(v) for v in profile))
 
 
 def is_traceless_involution(op: LocalOperator) -> bool:

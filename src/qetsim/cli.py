@@ -44,36 +44,71 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _json_dump(obj) -> str:
-    def convert(val):
-        if isinstance(val, (np.floating, np.integer)):
-            return val.item()
-        if isinstance(val, dict):
-            return {k: convert(v) for k, v in val.items()}
-        if isinstance(val, (list, tuple)):
-            return [convert(v) for v in val]
-        return val
-    return json.dumps(convert(obj), indent=2, sort_keys=True) + "\n"
+def _finite(name: str, value):
+    """``value`` itself; a float must be finite, or the output it was
+    bound for is refused as an invariant failure naming ``name``."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise InvariantViolation(f"output {name} is {value}, not a finite number")
+    return value
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+def _cell(name: str, value) -> str:
+    """A string as it is, a number as its ``repr``."""
+    return value if isinstance(value, str) else repr(_finite(name, value))
+
+
+def _row(columns: str, *cells) -> str:
+    """One CSV row of ``cells`` under the comma-separated ``columns``."""
+    return ",".join(_cell(name, value) for name, value
+                    in zip(columns.split(","), cells, strict=True))
+
+
+def _note(name: str, value) -> str:
+    return f"# {name} = {_cell(name, value)}"
+
+
+def _json_ready(value, path: str):
+    """``value`` with numpy scalars as Python numbers and tuples as lists;
+    every number is checked by :func:`_finite` under its key path."""
+    if isinstance(value, dict):
+        return {key: _json_ready(item, f"{path}.{key}" if path else key)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()
+    return _finite(path, value)
+
+
+def _write(args, config: dict, body) -> None:
+    """Write one command's output to ``--out`` or stdout.
+
+    A dict ``body`` becomes the JSON record with the version, the seed and
+    ``config`` added; a list of lines follows the ``# key = value`` header
+    of the same three.  Every number is checked finite before anything is
+    written, so a refused output leaves stdout and ``--out`` untouched.
+    """
+    if isinstance(body, dict):
+        record = {"version": __version__, "seed": args.seed, "config": config,
+                  **body}
+        text = json.dumps(_json_ready(record, ""), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    else:
+        header = [_note(key, value) for key, value in (
+            ("version", __version__), ("seed", args.seed),
+            *sorted(config.items()))]
+        text = "\n".join(header + body) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config_header(config: dict, seed: int) -> list[str]:
-    lines = [f"# version = {__version__}", f"# seed = {seed}"]
-    for key in sorted(config):
-        lines.append(f"# {key} = {config[key]}")
-    return lines
-
-
-def _parse_theta(text: str):
+def _parse_theta(text: str, optimal):
+    """``--theta``: a finite angle, or ``optimal`` for ``auto``."""
     if text.lower() == "auto":
-        return None
+        return optimal
     try:
         theta = float(text)
     except ValueError:
@@ -87,10 +122,12 @@ def _parse_direction(text: str) -> tuple[float, float, float]:
     named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
     if text in named:
         return named[text]
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"direction must be x|y|z or 'ux,uy,uz', got {text!r}")
-    u = np.array([float(p) for p in parts])
+    try:
+        ux, uy, uz = map(float, text.split(","))
+    except ValueError:
+        raise UsageError(
+            f"--direction must be x|y|z or three numbers ux,uy,uz, got {text!r}")
+    u = np.array([ux, uy, uz])
     if not np.isfinite(u).all():
         raise UsageError(f"direction components must be finite, got {text!r}")
     largest = np.abs(u).max()
@@ -103,11 +140,12 @@ def _parse_direction(text: str) -> tuple[float, float, float]:
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"range must be start:stop:count, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise UsageError("--range must be START:STOP:COUNT, two numbers and an "
+                         f"integer count, got {text!r}")
     if count < 1:
         raise UsageError("range count must be at least 1")
     return start, stop, count
@@ -212,35 +250,32 @@ def _require(args, *names) -> None:
             "missing required option(s): " + ", ".join(f"--{n}" for n in missing))
 
 
+def _probabilities(outcomes) -> dict[str, float]:
+    return {str(int(o.label)): o.probability for o in outcomes}
+
+
 def cmd_minimal(args) -> int:
     _require(args, "h", "k")
     params = minimal.MinimalParams(args.h, args.k)
     theta_opt, e_b_max = minimal.optimize(params)
-    theta = _parse_theta(args.theta)
-    resolved_theta = theta_opt if theta is None else theta
-    run = minimal.run_protocol(params, resolved_theta)
+    theta = _parse_theta(args.theta, theta_opt)
+    run = minimal.run_protocol(params, theta)
     bound = minimal.entanglement_bound(params, minimal.sigma_x_measurement())
-    config = {"h": args.h, "k": args.k, "theta": args.theta}
-    payload = {
-        "version": __version__,
-        "seed": args.seed,
-        "config": config,
+    _write(args, {"h": args.h, "k": args.k, "theta": args.theta}, {
         "h": args.h,
         "k": args.k,
-        "theta": resolved_theta,
+        "theta": theta,
         "theta_opt": theta_opt,
         "E_A": run.e_a,
         "E_B": run.e_b,
         "E_B_max": e_b_max,
-        "probabilities": {str(int(o.label)): o.probability
-                          for o in run.outcomes},
+        "probabilities": _probabilities(run.outcomes),
         "bound": {
             "delta_S": bound.delta_s,
             "rhs": bound.bound_rhs,
             "holds": bound.holds,
         },
-    }
-    _emit(_json_dump(payload), args.out)
+    })
     return 0
 
 
@@ -262,70 +297,63 @@ def cmd_chain(args) -> int:
                          f"got {args.g_b!r}")
     eta, xi = chain.eta_xi(model, sigma_a, g_b)
     theta_opt, e_b_max = chain.optimal_angle(eta, xi)
-    theta = _parse_theta(args.theta)
-    resolved_theta = theta_opt if theta is None else theta
+    theta = _parse_theta(args.theta, theta_opt)
     with warnings.catch_warnings():
         # eta_xi has already warned about this pair's separation
         warnings.filterwarnings("ignore", message="separation")
         run = chain.run_protocol(model, chain.ChainProtocolSpec(
-            args.site_a, args.site_b, meas, g_b, resolved_theta))
-    payload = {
-        "version": __version__,
-        "seed": args.seed,
-        "config": {
-            "model": args.model, "site_a": args.site_a, "site_b": args.site_b,
-            "direction": args.direction, "g_b": args.g_b, "theta": args.theta,
-        },
+            args.site_a, args.site_b, meas, g_b, theta))
+    config = {"model": args.model, "site_a": args.site_a,
+              "site_b": args.site_b, "direction": args.direction,
+              "g_b": args.g_b, "theta": args.theta}
+    _write(args, config, {
         "n_sites": model.n_sites,
         "boundary": model.boundary,
-        "theta": resolved_theta,
+        "theta": theta,
         "theta_opt": theta_opt,
         "eta": eta,
         "xi": xi,
         "E_A": run.e_a,
         "E_B": run.e_b,
         "E_B_max": e_b_max,
-        "local_energy_B": run.local_energy_b,
-        "site_energies": list(run.site_energies),
-        "probabilities": {str(int(o.label)): o.probability
-                          for o in run.outcomes},
-    }
-    _emit(_json_dump(payload), args.out)
+        "local_energy_B": -run.e_b,
+        "site_energies": run.site_energies,
+        "probabilities": _probabilities(run.outcomes),
+    })
     return 0
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise UsageError(f"separation range must be start:stop, got {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        if start < 1 or stop < start:
-            raise UsageError("separation range must satisfy 1 <= start <= stop")
-        return list(range(start, stop + 1))
-    value = int(text)
-    if value < 1:
+    try:
+        bounds = [int(part) for part in text.split(":", 1)]
+    except ValueError:
+        raise UsageError("--n must be an integer separation or an inclusive "
+                         f"range START:STOP, got {text!r}")
+    start, stop = bounds[0], bounds[-1]
+    if len(bounds) == 1 and start < 1:
         raise UsageError("separation must be at least 1")
-    return [value]
+    if start < 1 or stop < start:
+        raise UsageError("separation range must satisfy 1 <= start <= stop")
+    return list(range(start, stop + 1))
 
 
 def cmd_ising(args) -> int:
     config = {"J": args.J, "n": args.n, "mode": args.mode, "N": args.N,
               "fit": args.fit}
-    lines = _config_header(config, args.seed)
     if args.mode == "analytic":
         ns = _parse_n_range(args.n)
-        lines.append("n,sign,ln_abs_delta,E_B_analytic,E_B_asymptotic")
+        columns = "n,sign,ln_abs_delta,E_B_analytic,E_B_asymptotic"
+        lines = [columns]
         for n in ns:
             dl = ising.delta_log(n)
             e = ising.analytic_energies(args.J, n)
-            lines.append(f"{n},{dl.sign},{dl.log_abs!r},"
-                         f"{e.e_b!r},{e.e_b_asymptotic!r}")
+            lines.append(_row(columns, n, dl.sign, dl.log_abs, e.e_b,
+                              e.e_b_asymptotic))
         if args.fit:
             fit = ising.asymptote_check(ns, args.J)
-            lines.append(f"# fit_exponent = {fit.exponent!r}")
-            lines.append(f"# fit_prefactor = {fit.prefactor!r}")
-            lines.append(f"# fit_c_implied = {fit.c_implied!r}")
+            lines += [_note("fit_exponent", fit.exponent),
+                      _note("fit_prefactor", fit.prefactor),
+                      _note("fit_c_implied", fit.c_implied)]
     else:
         if args.N > chain.SITE_LIMIT:
             raise UsageError(
@@ -333,19 +361,18 @@ def cmd_ising(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = ising.numeric_cross_check(args.J, args.N)
-        lines.append("direction,u_x,u_y,u_z,E_A_numeric,eta,xi,theta_opt,"
-                     "E_B_closed,E_B_numeric")
+        columns = ("direction,u_x,u_y,u_z,E_A_numeric,eta,xi,theta_opt,"
+                   "E_B_closed,E_B_numeric")
+        lines = [columns]
         for row in report.rows:
-            ux, uy, uz = row.direction
-            lines.append(
-                f"{row.label},{ux!r},{uy!r},{uz!r},{row.e_a!r},{row.eta!r},"
-                f"{row.xi!r},{row.theta_opt!r},{row.e_b_closed!r},"
-                f"{row.e_b_protocol!r}")
-        lines.append(f"# separation = {report.separation}")
-        lines.append(f"# E_A_analytic = {report.e_a_analytic!r}")
-        lines.append(f"# best_direction = {report.best_direction}")
-        lines.append(f"# note = {report.note}")
-    _emit("\n".join(lines) + "\n", args.out)
+            lines.append(_row(columns, row.label, *row.direction, row.e_a,
+                              row.eta, row.xi, row.theta_opt, row.e_b_closed,
+                              row.e_b_protocol))
+        lines += [_note("separation", report.separation),
+                  _note("E_A_analytic", report.e_a_analytic),
+                  _note("best_direction", report.best_direction),
+                  _note("note", report.note)]
+    _write(args, config, lines)
     return 0
 
 
@@ -353,18 +380,10 @@ def cmd_field(args) -> int:
     _require(args, "lambda-file", "p-file", "T")
     if args.refine < 0:
         raise UsageError(f"--refine must be at least 0, got {args.refine}")
-    lam = field.Profile.from_csv(args.lambda_file)
-    p_b = field.Profile.from_csv(args.p_file)
-    theta = _parse_theta(args.theta)
-    spec = field.FieldProtocolSpec(lam, p_b, args.T, theta)
-    res = field.output_energy(spec)
-    payload = {
-        "version": __version__,
-        "seed": args.seed,
-        "config": {
-            "lambda_file": args.lambda_file, "p_file": args.p_file,
-            "T": args.T, "theta": args.theta,
-        },
+    lam, p_b = map(field.Profile.from_csv, (args.lambda_file, args.p_file))
+    theta = _parse_theta(args.theta, None)
+    res = field.output_energy(field.FieldProtocolSpec(lam, p_b, args.T, theta))
+    body = {
         "E_A": res.e_a,
         "eta": res.eta,
         "xi": res.xi,
@@ -378,38 +397,39 @@ def cmd_field(args) -> int:
         levels = []
         for level in range(1, args.refine + 1):
             stride = 2**level
-            coarse_spec = field.FieldProtocolSpec(
-                lam.coarsened(stride), p_b.coarsened(stride), args.T, theta)
-            coarse = field.output_energy(coarse_spec)
+            coarse = field.output_energy(field.FieldProtocolSpec(
+                lam.coarsened(stride), p_b.coarsened(stride), args.T, theta))
             levels.append({
                 "stride": stride,
                 "eta": coarse.eta,
                 "xi": coarse.xi,
                 "E_B_max": coarse.e_b_max,
             })
-        payload["refinement"] = levels
+        body["refinement"] = levels
     if args.oracle:
         analytic, oracle_val, rel = field.overlap_discrepancy(lam)
-        payload["oracle"] = {
+        body["oracle"] = {
             "overlap_analytic": analytic,
             "overlap_oracle": oracle_val,
             "relative_gap": rel,
         }
-    _emit(_json_dump(payload), args.out)
+    config = {"lambda_file": args.lambda_file, "p_file": args.p_file,
+              "T": args.T, "theta": args.theta}
+    _write(args, config, body)
     return 0
 
 
 def cmd_verify(args) -> int:
     names = tuple(verify.SUITES) if args.suite == "all" else (args.suite,)
     results, all_passed = verify.run_suites(names, args.seed)
-    lines = _config_header({"suite": args.suite}, args.seed)
+    lines = []
     for r in results:
         status = "ok" if r.passed else "FAIL"
         detail = f" ({r.detail})" if r.detail else ""
         lines.append(f"{status} {r.suite}.{r.name}{detail}")
     n_pass = sum(1 for r in results if r.passed)
     lines.append(f"# passed {n_pass}/{len(results)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _write(args, {"suite": args.suite}, lines)
     return 0 if all_passed else 2
 
 
@@ -421,11 +441,11 @@ def cmd_sweep(args) -> int:
     values = _range_values(_parse_range(args.range_spec), args.log, name)
     config = {"target": args.target, "param": args.param,
               "range": args.range_spec, "log": args.log}
-    lines = _config_header(config, args.seed)
     if args.target == "minimal":
         if args.param not in ("h", "k", "theta"):
             raise UsageError("minimal sweep supports --param h|k|theta")
-        lines.append("index,h,k,theta,E_A,E_B,E_B_max,theta_opt")
+        columns = "index,h,k,theta,E_A,E_B,E_B_max,theta_opt"
+        lines = [columns]
         for idx, val in enumerate(values):
             h = float(val) if args.param == "h" else args.h
             k = float(val) if args.param == "k" else args.k
@@ -434,25 +454,24 @@ def cmd_sweep(args) -> int:
             if args.param == "theta":
                 theta = float(val)
             else:
-                parsed = _parse_theta(args.theta)
-                theta = theta_opt if parsed is None else parsed
+                theta = _parse_theta(args.theta, theta_opt)
             run = minimal.run_protocol(params, theta)
-            lines.append(f"{idx},{h!r},{k!r},{theta!r},{run.e_a!r},"
-                         f"{run.e_b!r},{e_b_max!r},{theta_opt!r}")
+            lines.append(_row(columns, idx, h, k, theta, run.e_a, run.e_b,
+                              e_b_max, theta_opt))
     else:
         if args.param != "T":
             raise UsageError("field sweep supports --param T")
         if not args.lambda_file or not args.p_file:
             raise UsageError("field sweep needs --lambda-file and --p-file")
-        lam = field.Profile.from_csv(args.lambda_file)
-        p_b = field.Profile.from_csv(args.p_file)
-        lines.append("index,T,eta,xi,theta_opt,E_B_max")
+        lam, p_b = map(field.Profile.from_csv, (args.lambda_file, args.p_file))
+        columns = "index,T,eta,xi,theta_opt,E_B_max"
+        lines = [columns]
         delays = values.tolist()
         results = field.delay_sweep(lam, p_b, delays)
         for idx, (delay, res) in enumerate(zip(delays, results)):
-            lines.append(f"{idx},{delay!r},{res.eta!r},{res.xi!r},"
-                         f"{res.theta_opt!r},{res.e_b_max!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+            lines.append(_row(columns, idx, delay, res.eta, res.xi,
+                              res.theta_opt, res.e_b_max))
+    _write(args, config, lines)
     return 0
 
 

@@ -1,18 +1,20 @@
 """CLI contracts: output schema, exit codes, config merge, determinism."""
 
+import ctypes
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qetsim
-from qetsim import chain, cli, field, ising
+from qetsim import chain, cli, field, ising, minimal
 from qetsim.field import FieldProtocolSpec, Profile
 
 
@@ -302,6 +304,33 @@ def _assert_one_line_failure(code, out, err):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["ising"], "n", "x"),
+    (["ising"], "n", "1:x"),
+    (["ising"], "n", "1:2:3"),
+    (["ising"], "n", "2.5"),
+    (["sweep", "minimal", "--param", "k"], "range", "a:1:3"),
+    (["sweep", "minimal", "--param", "k"], "range", "0.5:1:2.5"),
+    (["sweep", "minimal", "--param", "k"], "range", "0.5:1"),
+    (["chain", "--site-a", "0", "--site-b", "4"], "direction", "1,a,0"),
+    (["chain", "--site-a", "0", "--site-b", "4"], "direction", "1,0"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_malformed_number_names_its_option(capsys, tmp_path, chain_file,
+                                           argv, key, value, source):
+    if argv[0] == "chain":
+        argv = [*argv, "--model", chain_file]
+    if source == "argv":
+        argv = [*argv, f"--{key}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_failure(code, out, err)
+    assert err.startswith(f"error: --{key} must be ") and repr(value) in err
 
 
 @pytest.mark.parametrize("theta", ["1e308", "1e200"])
@@ -765,6 +794,47 @@ def test_channel_cooling_loads_no_scipy():
     assert loaded == []
 
 
+_MMAP_PROBE = """
+import ctypes
+import numpy as np
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+import qetsim.cli
+before = mallinfo2().hblks
+block = np.empty(1 << 17)  # 1 MiB
+print(mallinfo2().hblks - before)
+"""
+
+
+def _has_mallinfo2() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_mallinfo2(), reason="needs glibc's mallinfo2")
+def test_import_leaves_the_mmap_threshold_alone():
+    # glibc serves a block above its mmap threshold (128 KiB at start) with
+    # its own mapping, and freeing such a block raises the threshold to the
+    # block's size.  An import that makes and frees a large array therefore
+    # moves every later allocation of up to that size onto the heap, and
+    # with it the process's peak RSS.  Importing the package must not: a
+    # 1 MiB array made after it still gets its own mapping.
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_")}
+    proc = subprocess.run([sys.executable, "-c", _MMAP_PROBE],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(env, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("h = 1.0\nk = 1.0\ntheta = 0\n")
@@ -1022,13 +1092,118 @@ def test_parser_built_once_per_process(capsys, tmp_path):
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
-def test_out_flag_writes_identical_bytes(capsys, tmp_path):
-    out_path = tmp_path / "run.json"
-    code, stdout, _ = run_cli(capsys, "minimal", "--h", "2", "--k", "0.5")
-    code2, _, _ = run_cli(capsys, "minimal", "--h", "2", "--k", "0.5",
-                          "--out", str(out_path))
+def _argv_of(mode, chain_file, profile_files):
+    lam, p_b = profile_files
+    return {
+        "minimal": ["minimal", "--h", "2", "--k", "0.5"],
+        "chain": ["chain", "--model", chain_file, "--site-a", "0",
+                  "--site-b", "4"],
+        "ising-analytic": ["ising", "--n", "1:5", "--fit"],
+        "ising-numeric": ["ising", "--mode", "numeric", "--N", "8"],
+        "field": ["field", "--lambda-file", lam, "--p-file", p_b, "--T", "3",
+                  "--refine", "1", "--oracle"],
+        "verify": ["verify", "--suite", "core"],
+        "sweep-minimal": ["sweep", "minimal", "--param", "k",
+                          "--range", "0.5:1:3"],
+        "sweep-field": ["sweep", "field", "--param", "T", "--range", "2:8:3",
+                        "--lambda-file", lam, "--p-file", p_b],
+    }[mode]
+
+
+MODES = ["minimal", "chain", "ising-analytic", "ising-numeric", "field",
+         "verify", "sweep-minimal", "sweep-field"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_out_flag_writes_identical_bytes(capsys, tmp_path, chain_file,
+                                         profile_files, mode):
+    argv = _argv_of(mode, chain_file, profile_files)
+    out_path = tmp_path / "run.out"
+    code, stdout, _ = run_cli(capsys, *argv)
+    code2, stdout2, _ = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == code2 == 0
+    assert stdout2 == ""
     assert out_path.read_text() == stdout
+
+
+def _with_nan_row(report, i=1):
+    rows = list(report.rows)
+    rows[i] = replace(rows[i], xi=math.nan)
+    return replace(report, rows=tuple(rows))
+
+
+def _with_nan_site(run, site=3):
+    energies = list(run.site_energies)
+    energies[site] = math.nan
+    return replace(run, site_energies=tuple(energies))
+
+
+def _nan_in_second_call(real, **changes):
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        result = real(*args)
+        return replace(result, **changes) if len(calls) == 2 else result
+    return fake
+
+
+# one NaN put into what each command formats, after every library check:
+# (mode, module, function, fake made from the real function, the cell
+# named in the message, the value shown)
+NAN_CASES = [
+    ("minimal", minimal, "entanglement_bound",
+     lambda real: lambda *a: replace(real(*a), delta_s=math.nan),
+     "bound.delta_S", "nan"),
+    ("chain", chain, "run_protocol",
+     lambda real: lambda *a: _with_nan_site(real(*a)), "site_energies[3]", "nan"),
+    ("ising-analytic", ising, "analytic_energies",
+     lambda real: _nan_in_second_call(real, e_b_asymptotic=math.nan),
+     "E_B_asymptotic", "nan"),
+    ("ising-analytic", ising, "asymptote_check",
+     lambda real: lambda *a: replace(real(*a), c_implied=math.inf),
+     "fit_c_implied", "inf"),
+    ("ising-numeric", ising, "numeric_cross_check",
+     lambda real: lambda *a: _with_nan_row(real(*a)), "xi", "nan"),
+    ("ising-numeric", ising, "numeric_cross_check",
+     lambda real: lambda *a: replace(real(*a), e_a_analytic=math.nan),
+     "E_A_analytic", "nan"),
+    ("field", field, "overlap_discrepancy",
+     lambda real: lambda lam: (*real(lam)[:2], math.nan),
+     "oracle.relative_gap", "nan"),
+    ("field", field, "output_energy",
+     lambda real: _nan_in_second_call(real, eta=-math.inf),
+     "refinement[0].eta", "-inf"),
+    ("verify", cli, "_write",
+     lambda real: lambda args, config, body: real(
+         args, {**config, "suite": math.nan}, body), "suite", "nan"),
+    ("sweep-minimal", minimal, "run_protocol",
+     lambda real: _nan_in_second_call(real, e_b=math.nan), "E_B", "nan"),
+    ("sweep-field", field, "delay_sweep",
+     lambda real: lambda lam, p_b, delays: [
+         replace(res, xi=math.nan) if i == 1 else res
+         for i, res in enumerate(real(lam, p_b, delays))], "xi", "nan"),
+]
+
+
+@pytest.mark.parametrize("mode, module, name, fake_of, cell, shown",
+                         NAN_CASES,
+                         ids=[f"{case[0]}-{case[4]}" for case in NAN_CASES])
+def test_non_finite_output_exit_two(capsys, tmp_path, monkeypatch, chain_file,
+                                    profile_files, mode, module, name,
+                                    fake_of, cell, shown):
+    argv = _argv_of(mode, chain_file, profile_files)
+    real = getattr(module, name)
+    out_path = tmp_path / "run.out"
+    for extra in ([], ["--out", str(out_path)]):
+        monkeypatch.setattr(module, name, fake_of(real))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the chain pair's separation
+            code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err == (f"invariant failure: output {cell} is {shown}, "
+                       "not a finite number\n")
+    assert not out_path.exists()
 
 
 def test_determinism_repeated_runs(capsys):

@@ -1,5 +1,6 @@
 """Two-qubit model: closed forms against direct 4x4 numerics."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 
 import qetsim
 from qetsim import core, minimal, verify
-from qetsim.core import LocalOperator, PovmMeasurement
+from qetsim.core import (InvariantViolation, LocalOperator, PovmMeasurement,
+                         StateVector)
 from qetsim.minimal import MinimalParams
 
 RNG_BOX = (0.1, 10.0)
@@ -58,6 +60,57 @@ def test_build_memoized_and_read_only():
                 model.ground.amplitudes):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+# (h, k) = (GRID[i], GRID[j]) that a check of the overlap with the solver's
+# vector (``core.ground_state``) refuses: the lowest odd-parity level, 2r -
+# 2k ~ h^2/k above the closed form's zero, lies within rounding of it, and
+# the solver returns that level's vector (overlap 0).  The digest below was
+# recorded with that check, over the other 617 points.
+GRID = np.geomspace(1e-6, 1e6, 25)
+REFUSED_BY_OVERLAP_CHECK = {(0, 17), (0, 21), (1, 18), (1, 19), (1, 22),
+                            (2, 19), (3, 22), (8, 24)}
+
+
+def test_build_keeps_its_arrays_across_the_grid():
+    # every grid point builds, and the points the overlap check accepts
+    # keep the arrays they had with it (SHA-256 in row order)
+    digest = hashlib.sha256()
+    for i, h in enumerate(GRID):
+        for j, k in enumerate(GRID):
+            model = minimal.build.__wrapped__(MinimalParams(float(h), float(k)))
+            if (i, j) not in REFUSED_BY_OVERLAP_CHECK:
+                for arr in (model.h_a, model.h_b, model.v, model.hamiltonian,
+                            model.ground.amplitudes):
+                    digest.update(arr.tobytes())
+    assert digest.hexdigest() == (
+        "4285742c1b2b917e35de62968e38ac62d583c9a5c6a9cabeb9a9b97992300d2a")
+
+
+def _odd_admixture(amps):
+    # first order in <g|H_A|g>, <g|H_B|g> and <g|V|g> vanishes: only |H g|
+    # sees it
+    amps[1] = 5e-7
+    return amps
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_odd_admixture, r"\|H g\| / scale"),
+    (lambda amps: amps[::-1].copy(), "<g|H_A|g>"),
+    (lambda amps: amps + [1e-9, 0, 0, 0], "<g|H_A|g>"),
+], ids=["odd-admixture", "swapped", "tilted"])
+def test_build_refuses_a_perturbed_closed_form(monkeypatch, edit, message):
+    closed_form_ground = minimal.closed_form_ground
+
+    def perturbed(params):
+        amps = edit(closed_form_ground(params).amplitudes.copy())
+        return StateVector(2, amps / np.linalg.norm(amps))
+
+    monkeypatch.setattr(minimal, "closed_form_ground", perturbed)
+    minimal.build.cache_clear()
+    with pytest.raises(InvariantViolation, match=message):
+        minimal.build(MinimalParams(1.0, 1.0))
+    assert minimal.build.cache_info().currsize == 0
 
 
 def test_suite_minimal_builds_each_model_once(monkeypatch):
