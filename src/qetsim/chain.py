@@ -52,6 +52,9 @@ if TYPE_CHECKING:
 # vectors, `ising --mode numeric --N 18` took 2.1 to 3.6 s and a 185 MB peak
 # as a subprocess on 2 cores.
 SITE_LIMIT = 18
+# Largest Hamiltonian built as a dense ndarray (8 sites): chains up to this
+# size never import scipy.
+DENSE_DIM_LIMIT = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +162,9 @@ class ChainModel:
     @cached_property
     def hamiltonian(self) -> np.ndarray | sp.csr_matrix:
         """The Hamiltonian, real when the model is real: a dense ndarray up
-        to ``core.DENSE_DIM_LIMIT`` dimensions (8 sites), above a canonical
+        to :data:`DENSE_DIM_LIMIT` dimensions (8 sites), above a canonical
         CSR matrix (sorted columns, no stored zeros), which imports scipy.
+        ``core.ground_state`` solves either form with the same solver.
 
         Each site and bond piece is a sum of terms ``diag(d) X^m``, ``m``
         the basis bits a term flips; the pieces add, in piece order, into
@@ -201,7 +205,7 @@ class ChainModel:
         del diags
         if np.iscomplexobj(data) and not np.any(data.imag):
             data = data.real
-        if dim <= core.DENSE_DIM_LIMIT:
+        if dim <= DENSE_DIM_LIMIT:
             ham = np.zeros((dim, dim), dtype=data.dtype)
             ham[index[:, None], cols] = data
             return ham

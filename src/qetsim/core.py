@@ -19,7 +19,6 @@ model's declared coupling and fail on any NaN or inf.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import re
 import sys
@@ -235,56 +234,44 @@ class GroundState:
     degenerate: bool
 
 
-DENSE_DIM_LIMIT = 256
 _LANCZOS_MAX_STEPS = 1000
 _LANCZOS_CHECK_EVERY = 6
-# inverse iteration: the shift below the lowest eigenvalue and the residual
-# it stops at, both relative to the spectral radius; the factor its solves
-# must have damped the excited levels by; its solve cap
-_INVERSE_SHIFT = 1e-15
-_INVERSE_TARGET = 1e-13
-_INVERSE_DAMPING = 1e-8
-_INVERSE_MAX_SOLVES = 4
 
 
 def ground_state(H, scale: float = 1.0) -> GroundState:
     """Lowest eigenvalue and eigenvector of a Hermitian operator.
 
-    ``H`` is a dense ndarray or a CSR matrix; nothing else is accepted.  A
-    dense ``H``, and a CSR up to 256 dimensions (8 sites), is solved dense
-    for its lowest pair only (:func:`_dense_lowest_pair`): the eigenvalues
-    without eigenvectors, then the vector by inverse iteration.  A larger
-    CSR gets a seeded Lanczos solver in plain numpy
-    (:func:`_krylov_lowest_pair`), on the two half-length bit-parity blocks
-    when every stored entry conserves parity: pass 1 in each block, a
-    replay of the recorded coefficients for the vector, and a gap pass that
-    stops at eigenvalue accuracy; the vector comes back embedded in the
-    full space.  ``scale`` is the operator's energy scale: ``H`` must be
-    finite and Hermitian within ``1e-10 * scale`` (checked here when dense,
-    on the mask diagonals by ``ChainModel.hamiltonian`` for a CSR), the
-    eigenpair must satisfy ``|H v - E v| <= 1e-9 * scale`` on the full
-    ``H``, and a gap not above ``1e-8 * scale`` (so any gap of a zero
-    operator) is reported as degenerate.  Both solvers and the residual
-    work in units of ``scale``, so nothing overflows or underflows for
-    couplings from 1e-300 to 1e300.
+    ``H`` is a dense ndarray or a CSR matrix of ``2**n`` dimensions, ``n >=
+    1``; nothing else is accepted.  Either is solved by one seeded Lanczos
+    solver in plain numpy (:func:`_krylov_lowest_pair`), on the two
+    half-length bit-parity blocks when every entry conserves parity: pass 1
+    in each block, a replay of the recorded coefficients for the vector,
+    and a gap pass that stops at eigenvalue accuracy; the vector comes back
+    embedded in the full space.  ``scale`` is the operator's energy scale:
+    ``H`` must be finite and Hermitian within ``1e-10 * scale`` (checked
+    here when dense, on the mask diagonals by ``ChainModel.hamiltonian``
+    for a CSR), the eigenpair must satisfy ``|H v - E v| <= 1e-9 * scale``
+    on the full ``H``, and a gap not above ``1e-8 * scale`` (so any gap of
+    a zero operator) is reported as degenerate.  The solver and the
+    residual work in units of ``scale``, so nothing overflows or
+    underflows for couplings from 1e-300 to 1e300.
     """
     dim = H.shape[0]
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 1 << n:
+        raise ValueError(f"Hamiltonian dimension {dim} is not 2**n for n >= 1")
     sparse = not isinstance(H, np.ndarray)
     if not np.isfinite(H.data if sparse else H).all():
         raise ValueError("Hamiltonian has non-finite entries")
     if not sparse and not _hermitian_defect(H) <= ATOL_ALGEBRA * scale:
         raise ValueError(
             f"Hamiltonian is not Hermitian within {ATOL_ALGEBRA * scale:.3g}")
-    if sparse and dim > DENSE_DIM_LIMIT:
-        energy, vec, gap = _krylov_lowest_pair(H, dim, scale)
-    else:
-        energy, vec, gap = _dense_lowest_pair(H.toarray() if sparse else H, scale)
+    energy, vec, gap = _krylov_lowest_pair(H, dim, scale)
     unit = scale if scale > 0 else 1.0
     residual = unit * np.linalg.norm((H @ vec - energy * vec) / unit)
     if not residual <= ATOL_RESIDUAL * scale:
         raise EigensolverError(
             f"eigensolver residual {residual:.3g} > {ATOL_RESIDUAL * scale:.3g}")
-    n = int(round(math.log2(dim)))
     return GroundState(energy, StateVector(n, vec / np.linalg.norm(vec)),
                        gap, not gap > GAP_DEGENERATE * scale)
 
@@ -296,128 +283,47 @@ def _hermitian_defect(H: np.ndarray) -> float:
     return float(np.abs(buf, out=buf).real.max())
 
 
-def _dense_lowest_pair(H: np.ndarray, scale: float
-                       ) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenvalue, its vector and the gap above it of a dense ``H``.
-
-    In units of ``scale``, ``A = H / scale`` (a zero ``scale`` counts as
-    1).  When no entry joins basis states of unequal bit parity, the even
-    and the odd block of ``A`` (:func:`_parity_halves`) are solved side by
-    side and the block with the lower lowest eigenvalue holds the vector
-    (the even one on a tie), as on the Krylov path; otherwise ``A`` is one
-    block.  The eigenvalues come from ``eigvalsh``, with no eigenvector
-    matrix, and the vector from inverse iteration (Ipsen, SIAM Rev. 39, 254
-    (1997)) in its block ``B``, solving ``(B - s*I) x = d*v`` from a start
-    vector fixed per dimension (:func:`_start_vector`).  The shift ``s``
-    lies ``d = 1e-15 * r`` below the lowest eigenvalue, ``r`` the spectral
-    radius of ``A`` (several units in the last place of every eigenvalue),
-    so ``B - s*I`` is not singular even when ``B`` is diagonal.  A solve
-    keeps the lowest level's part of its unit right side and shrinks every
-    other part, so its solution ``y`` satisfies ``|B y - lowest*y| <= d``,
-    and each solve damps the excited levels against the lowest by ``d /
-    (d + gap)`` or more.  The iteration stops once the residual bound
-    ``d / |y|`` of the normalized vector is at most ``1e-13 * r`` and the
-    solves have damped by 1e-8, or after four solves; the caller's residual
-    gate decides.  One solve meets the damping unless the gap is below
-    about 1e-7 * r, where a small residual still allows a large excited
-    part; a start vector with less than a hundredth of its weight on the
-    ground state takes a second solve for the residual.  Every vector is an
-    eigenvector of the zero operator: it gets the start vector.
-    """
-    dim = H.shape[0]
-    unit = scale if scale > 0 else 1.0
-    rows, cross = _parity_halves(dim)
-    if rows is not None and not H[cross].any():
-        blocks = H[rows[:, :, None], rows[:, None, :]] / unit
-    else:
-        rows, blocks = None, (H / unit)[None]
-    spectra = np.linalg.eigvalsh(blocks)
-    lows = spectra[:, 0].tolist()
-    pick = lows.index(min(lows))
-    lowest = lows.pop(pick)
-    above = lows + spectra[pick, 1:2].tolist()
-    gap = min(above) - lowest if above else math.inf
-    radius = max(-lowest, float(spectra[:, -1].max()))
-    block = blocks[pick]
-    size = block.shape[0]
-    vec = _start_vector(size)
-    if radius > 0:
-        delta = _INVERSE_SHIFT * radius
-        block.flat[::size + 1] -= lowest - delta
-        damped = 1.0
-        for _ in range(_INVERSE_MAX_SOLVES):
-            vec = np.linalg.solve(block, delta * vec)
-            norm = math.sqrt(np.vdot(vec, vec).real)
-            vec /= norm
-            damped *= delta / (delta + gap)
-            if (delta / norm <= _INVERSE_TARGET * radius
-                    and damped <= _INVERSE_DAMPING):
-                break
-    if rows is None:
-        return unit * lowest, vec, unit * gap
-    full = np.zeros(dim, dtype=vec.dtype)
-    full[rows[pick]] = vec
-    return unit * lowest, full, unit * gap
-
-
-@functools.lru_cache(maxsize=16)
-def _parity_halves(dim: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The even and the odd bit-parity basis states of ``dim`` dimensions,
-    as the two rows of an array (each pair ``2i, 2i + 1`` has one of each),
-    and the mask of the matrix entries that join unequal parities; both
-    read-only, and both ``None`` for an odd ``dim``."""
-    if dim % 2:
-        return None, None
-    odd = np.bitwise_count(np.arange(dim)) & 1
-    rows = np.argsort(odd, kind="stable").reshape(2, dim // 2)
-    cross = odd[:, None] != odd
-    rows.setflags(write=False)
-    cross.setflags(write=False)
-    return rows, cross
-
-
-@functools.lru_cache(maxsize=16)
-def _start_vector(dim: int) -> np.ndarray:
-    """The unit start vector of inverse iteration in ``dim`` dimensions:
-    Gaussian, from a generator seeded by ``dim``, so a solve repeats bit for
-    bit; made once per dimension and read-only."""
-    vec = _unit(np.random.default_rng(dim).standard_normal(dim))
-    vec.setflags(write=False)
-    return vec
-
-
 def _krylov_lowest_pair(H, dim: int, scale: float
                         ) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenvalue, its vector and the gap above it of a CSR ``H``,
-    by Lanczos on ``(H - s*I) / s``, ``s`` twice the Gershgorin row-sum
-    bound, so every eigenvalue it sees lies in [-1.5, -0.5]; the bound is
-    summed in units of ``scale`` and refused beyond the double range.
+    """Lowest eigenvalue, its vector and the gap above it of a dense or CSR
+    ``H``, by Lanczos on ``(H - s*I) / s``, ``s`` twice the Gershgorin
+    row-sum bound, so every eigenvalue it sees lies in [-1.5, -0.5]; the
+    bound is summed in units of ``scale`` and refused beyond the double
+    range.
 
-    When every stored entry of ``H`` joins two basis states of equal bit
-    parity (z fields and xx, yy or zz bonds do), ``H`` is solved as its
-    even and odd blocks, each half as long (:func:`_parity_rows`);
-    otherwise as one block.  Pass 1 runs in each block and stops at
-    eigenvalue accuracy.  The block with the lower Ritz value resumes its
-    recurrence until the Ritz residual estimate falls to
-    ``1e-2 * 1e-9 * scale``, with the same steps and checks as one
-    uninterrupted run; a replay of the recorded coefficients then sums the
-    Ritz vector, so no basis is stored and repeated solves are
-    bit-identical.  One Krylov space holds a single direction of a
-    repeated eigenvalue, so a gap pass runs on the complement of the
-    ground vector in that block and stops at eigenvalue accuracy; the gap
-    is the lower of its value and the other block's lowest.  A block is
+    When every entry of ``H`` (every stored one of a CSR) joins two basis
+    states of equal bit parity (z fields and xx, yy or zz bonds do), ``H``
+    is solved as its even and odd blocks, each half as long
+    (:func:`_parity_rows`); otherwise as one block.  Pass 1 runs in each
+    block and stops at eigenvalue accuracy.  The block with the lower Ritz
+    value (the even one on a tie) resumes its recurrence until the Ritz
+    residual estimate falls to ``1e-2 * 1e-9 * scale``, with the same steps
+    and checks as one uninterrupted run; a replay of the recorded
+    coefficients then sums the Ritz vector, so no basis is stored and
+    repeated solves are bit-identical.  One Krylov space holds a single
+    direction of a repeated eigenvalue, so a gap pass runs on the
+    complement of the ground vector in that block and stops at eigenvalue
+    accuracy; the gap is the lower of its value and the other block's
+    lowest.  A one-dimensional block has no complement and runs no gap
+    pass: its gap is the distance to the other block's lowest.  A block is
     built when a pass needs it and dropped after, so at most one is held.
     """
     unit = scale if scale > 0 else 1.0
-    # the row sums of |H| / unit on the index arrays of H, not a copy of them
-    bound = float(type(H)((np.abs(H.data) / unit, H.indices, H.indptr),
-                          shape=H.shape).sum(axis=1).max())
+    # the row sums of |H| / unit; a CSR's on its own index arrays, not a copy
+    if isinstance(H, np.ndarray):
+        sizes = np.abs(H) / unit
+    else:
+        sizes = type(H)((np.abs(H.data) / unit, H.indices, H.indptr),
+                        shape=H.shape)
+    bound = float(sizes.sum(axis=1).max())
+    del sizes
     if not math.isfinite(unit * bound):
         raise ValueError(f"Hamiltonian row sum {bound:.3g} x {unit:.3g} overflows")
     if bound == 0.0:
         return 0.0, np.eye(1, dim)[0], 0.0
     c = 2.0 * bound
     tol = 1e-2 * ATOL_RESIDUAL / c
+    dtype = np.result_type(H.dtype, 1.0)
     rng = np.random.default_rng(0)
 
     def shifted(rows):
@@ -433,12 +339,12 @@ def _krylov_lowest_pair(H, dim: int, scale: float
 
     def first_pass(rows):
         size = dim if rows is None else dim // 2
-        start = _unit(rng.standard_normal(size).astype(H.dtype))
+        start = _unit(rng.standard_normal(size).astype(dtype))
         return _lanczos(shifted(rows), start, tol, values_only=True), start, rows
 
     passes = sorted(map(first_pass, _parity_rows(H)), key=lambda p: p[0][0])
     (lowest, ritz, run), start, rows = passes[0]
-    other = [p[0][0] for p in passes[1:]]
+    above = [p[0][0] for p in passes[1:]]
     del passes  # the other block's vectors
     apply = shifted(rows)
     if not run.converged:
@@ -446,38 +352,44 @@ def _krylov_lowest_pair(H, dim: int, scale: float
     vec = _unit(_ritz_vector(apply, start, ritz, run.alphas, run.betas))
     del run  # its last two vectors
 
-    def deflated(v):
-        w = apply(v)
-        w -= vec * _dot(vec, w)
-        return w
+    if vec.size > 1:
+        def deflated(v):
+            w = apply(v)
+            w -= vec * _dot(vec, w)
+            return w
 
-    rest = rng.standard_normal(vec.size).astype(H.dtype)
-    second = _lanczos(deflated, _unit(rest - vec * _dot(vec, rest)), tol,
-                      values_only=True)[0]
-    second = min([second] + other)
+        rest = rng.standard_normal(vec.size).astype(dtype)
+        above.append(_lanczos(deflated, _unit(rest - vec * _dot(vec, rest)),
+                              tol, values_only=True)[0])
     if rows is not None:
         vec, block_vec = np.zeros(dim, dtype=vec.dtype), vec
         vec[rows] = block_vec
-    return unit * (c * (1.0 + lowest)), vec, unit * (c * max(second - lowest, 0.0))
+    return (unit * (c * (1.0 + lowest)), vec,
+            unit * (c * max(min(above) - lowest, 0.0)))
 
 
 def _parity_rows(H) -> list:
-    """The row masks of the even and odd bit-parity blocks of a CSR ``H``,
-    or ``[None]`` when a stored entry joins basis states of unequal parity."""
-    odd = np.bitwise_count(np.arange(H.shape[0], dtype=H.indices.dtype)) & 1
-    if not np.array_equal(np.repeat(odd, np.diff(H.indptr)),
-                          np.bitwise_count(H.indices) & 1):
-        return [None]
-    return [odd == 0, odd == 1]
+    """The row masks of the even and odd bit-parity blocks of ``H``, or
+    ``[None]`` when an entry (a stored one of a CSR) joins basis states of
+    unequal parity."""
+    odd = np.bitwise_count(np.arange(H.shape[0], dtype=np.int32)) & 1
+    if isinstance(H, np.ndarray):
+        mixed = ((H != 0) & (odd[:, None] != odd)).any()
+    else:
+        mixed = not np.array_equal(np.repeat(odd, np.diff(H.indptr)),
+                                   np.bitwise_count(H.indices) & 1)
+    return [None] if mixed else [odd == 0, odd == 1]
 
 
 def _parity_block(H, rows):
-    """The block of a CSR ``H`` on the parity rows ``rows`` (``H`` itself
-    for ``None``).  Basis state ``i`` is entry ``i >> 1`` of its block, so
-    the block keeps the data of its rows and their columns shifted right
-    by one, still sorted; no scipy indexing is used."""
+    """The block of ``H`` on the parity rows ``rows`` (``H`` itself for
+    ``None``).  Basis state ``i`` is entry ``i >> 1`` of its block; a CSR
+    block keeps the data of its rows and their columns shifted right by
+    one, still sorted, and uses no scipy indexing."""
     if rows is None:
         return H
+    if isinstance(H, np.ndarray):
+        return H[np.ix_(rows, rows)]
     lengths, half = np.diff(H.indptr), H.shape[0] // 2
     keep = np.repeat(rows, lengths)
     return type(H)((H.data[keep], H.indices[keep] >> 1,

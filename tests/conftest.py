@@ -40,7 +40,8 @@ def random_chains10():
 
 @pytest.fixture
 def krylov_calls(monkeypatch):
-    """Dimensions of the Krylov ground-state solves, in call order."""
+    """Dimensions of the ground-state solves, dense or CSR, in call order:
+    ``core.ground_state`` solves every matrix by ``_krylov_lowest_pair``."""
     calls = []
     solve = core._krylov_lowest_pair
 

@@ -206,7 +206,7 @@ def test_sparse_hamiltonian_matches_kron_assembly(case, request):
     model = ChainModel(built.n_sites, built.boundary, built.x_ops,
                        built.channels, built.shifts)
     got = model.hamiltonian
-    dense = 2**model.n_sites <= core.DENSE_DIM_LIMIT
+    dense = 2**model.n_sites <= chain.DENSE_DIM_LIMIT
     want = (_kron_dense_hamiltonian if dense else _kron_sparse_hamiltonian)(model)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
@@ -1305,7 +1305,7 @@ def xyz_chain(n, seed):
 
 def _check_against_dense(model, krylov_calls):
     ham = model.hamiltonian
-    assert ham.shape[0] > core.DENSE_DIM_LIMIT
+    assert ham.shape[0] > chain.DENSE_DIM_LIMIT
     krylov_calls.clear()
     gs = core.ground_state(ham)
     assert krylov_calls == [ham.shape[0]]

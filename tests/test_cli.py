@@ -767,6 +767,48 @@ def test_scipy_loaded_only_by_commands_that_run_it(profile_files, chain_file,
             assert len(blas) == 1, f"{' '.join(argv[:3])} mapped {blas}"
 
 
+_STDOUT_PROBE = """
+import contextlib, io, json, sys
+from qetsim import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(argv)
+    report.append([code, sink.getvalue()])
+print(json.dumps(report))
+"""
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS may split a product over its threads and sum the pieces in
+    # another order, so a result that rests on such a product can change
+    # its last digits with the thread count; one interpreter per count
+    runs = [["ising", "--mode", "numeric", "--N", "8"],
+            ["ising", "--mode", "numeric", "--N", "12"],
+            ["verify", "--suite", "all"]]
+    for n in (8, 10):  # a dense and a CSR Hamiltonian, complex, no parity
+        model = tmp_path / f"{n}.chain"
+        model.write_text(f"n_sites = {n}\nboundary = periodic\n"
+                         "x = -1*z + 0.3*x\nbond = x ; -1.0\nbond = y ; 0.4\n")
+        runs.append(["chain", "--model", str(model), "--site-a", "1",
+                     "--site-b", str(n // 2 + 1)])
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _STDOUT_PROBE, json.dumps(runs)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path,
+                     OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    for argv, one, two in zip(runs, *reports):
+        assert one[0] == 0, argv
+        assert one == two, " ".join(argv[:4])
+
+
 _COOLING_PROBE = """
 import json, sys
 import numpy as np

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qetsim import core, ising, minimal
+from qetsim import chain, core, ising, minimal
 from qetsim.core import (
     InvariantViolation,
     LocalOperator,
@@ -153,7 +153,7 @@ def test_ground_state_krylov_matches_dense():
 
     rng = np.random.default_rng(17)
     dim = 512
-    assert dim > core.DENSE_DIM_LIMIT  # so the Krylov solver runs
+    assert dim > chain.DENSE_DIM_LIMIT  # a size that chains build as a CSR
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = h + h.conj().T
     vals, vecs = np.linalg.eigh(h)
@@ -208,12 +208,35 @@ def test_dense_ground_state_matches_eigh(case):
     assert again.energy == gs.energy and again.gap == gs.gap
 
 
-def test_dense_lowest_pair_one_dimension():
-    # one dimension is no qubit state, so only the solver itself is checked
-    for entry, scale in ((3.0, 1.0), (-2.0 + 0j, 2.0), (0.0, 0.0)):
-        energy, vec, gap = core._dense_lowest_pair(np.array([[entry]]), scale)
-        assert energy == entry.real and gap == math.inf
-        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-15)
+# two dimensions: one entry per parity block, so the ground block has no
+# complement for a gap pass, or (pauli_x) no parity split
+TWO_DIMENSION_CASES = {
+    "pauli_z": (core.PAULI_Z, 1.0, -1.0, 2.0),
+    "diagonal": (np.diag([-2.0, 0.5]), 2.0, -2.0, 2.5),
+    "pauli_x": (core.PAULI_X, 1.0, -1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", TWO_DIMENSION_CASES)
+def test_ground_state_one_dimensional_blocks(case):
+    h, scale, energy, gap = TWO_DIMENSION_CASES[case]
+    gs = core.ground_state(h, scale)
+    assert abs(gs.energy - energy) <= 1e-12 * scale
+    assert abs(gs.gap - gap) <= 1e-10 * scale
+    assert not gs.degenerate
+    ground = np.linalg.eigh(h)[1][:, 0]
+    assert abs(np.vdot(ground, gs.state.amplitudes)) == pytest.approx(
+        1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_ground_state_refuses_a_dimension_not_a_power_of_two(dim, monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(core, "_krylov_lowest_pair", unreached)
+    with pytest.raises(ValueError, match=f"dimension {dim} is not 2\\*\\*n"):
+        core.ground_state(np.eye(dim))
 
 
 def test_dense_ground_state_takes_even_block_on_a_tie():
@@ -226,27 +249,38 @@ def test_dense_ground_state_takes_even_block_on_a_tie():
         == pytest.approx(1.0, abs=1e-15)
 
 
-def test_dense_branch_computes_no_eigenvector_matrix(monkeypatch):
+def test_ground_state_computes_no_eigenvector_matrix(monkeypatch):
+    # eigh sees only the tridiagonal Lanczos bands; eigvalsh and solve see
+    # nothing, so neither H nor one of its blocks is diagonalized
     import scipy.sparse as sp
 
     cases = [DENSE_CASES[name](np.random.default_rng(5))
              for name in ("complex256", "real256", "complex4", "ising8")]
     cases.append((sp.csr_matrix(cases[0][0]), 1.0))
+    lowest = [np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[0]
+              for h, _ in cases]
     eigh = np.linalg.eigh
 
-    def guarded(a, *args, **kwargs):
-        assert np.shape(a)[-1] < 4, f"eigh on a {np.shape(a)} matrix"
+    def banded(a, *args, **kwargs):
+        assert not np.triu(a, 2).any() and not np.tril(a, -2).any(), \
+            f"eigh on a {np.shape(a)} matrix that is not tridiagonal"
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", guarded)
-    for h, scale in cases:
-        lowest = np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[0]
+    def refused(name):
+        def call(a, *args, **kwargs):
+            raise AssertionError(f"{name} on a {np.shape(a)} matrix")
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", banded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused("eigvalsh"))
+    monkeypatch.setattr(np.linalg, "solve", refused("solve"))
+    for (h, scale), want in zip(cases, lowest):
         assert core.ground_state(h, scale).energy == pytest.approx(
-            lowest, abs=1e-12 * scale)
+            want, abs=1e-12 * scale)
 
 
 def _krylov_against_dense(h, scale=1.0):
-    assert h.shape[0] > core.DENSE_DIM_LIMIT  # so the Lanczos solver runs
+    assert h.shape[0] > chain.DENSE_DIM_LIMIT  # a size that chains build as a CSR
     gs = core.ground_state(h, scale)
     vals, vecs = np.linalg.eigh(h.toarray())
     assert gs.energy == pytest.approx(vals[0], abs=1e-9 * scale)
